@@ -1,29 +1,10 @@
-import os
-
 from setuptools import Extension, setup
 
-# The scan/canonicalization kernel is an optional speedup.  Preference order:
-# rebuild from the .pyx when Cython is available, otherwise compile the
-# checked-in generated C.  If neither works (no compiler), the install still
-# succeeds and quandles._kernel falls back to the pure-Python implementation.
-HERE = os.path.dirname(os.path.abspath(__file__))
-PYX = os.path.join("src", "quandles", "_speedups.pyx")
-CSRC = os.path.join("src", "quandles", "_speedups.c")
-
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("quandles._speedups", [PYX])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    if os.path.exists(os.path.join(HERE, CSRC)):
-        ext_modules = [Extension("quandles._speedups", [CSRC])]
-    else:
-        ext_modules = []
-
-for ext in ext_modules:
-    ext.optional = True
-
-setup(ext_modules=ext_modules)
+# The scan/orbit kernel is an optional speedup, hand-written against the
+# CPython API.  Without a C compiler the install still succeeds and
+# quandles._kernel falls back to the pure-Python implementation.
+setup(
+    ext_modules=[
+        Extension("quandles._speedups", ["src/quandles/_speedups.c"], optional=True),
+    ]
+)

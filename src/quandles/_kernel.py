@@ -1,8 +1,8 @@
 """Hot-loop kernels with backend selection.
 
-The exhaustive column scan and the orbit-minimum canonicalizer dominate
-runtime, so both exist twice: compiled (quandles._speedups, built from
-_speedups.pyx) and pure Python.  The compiled module is picked at import
+The exhaustive column scan and the relabelling orbit dominate runtime, so
+both exist twice: compiled (quandles._speedups, hand-written C in
+_speedups.c) and pure Python.  The compiled module is picked at import
 when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
 backends are required to return byte-identical results, including the
 placement counts used for resource capping.
@@ -140,32 +140,50 @@ def _scan_pure(n, strategy, cands, lo, hi, cap):
     return out, placements, hit
 
 
-def canon_min(flat: bytes, n: int) -> bytes:
-    """Lexicographically least relabelling of a standard-form table.
+def orbit(flat: bytes, n: int) -> tuple[dict[bytes, bytes], list[bytes]]:
+    """One walk over the n! relabellings of a table, in lexicographic order.
 
-    `flat` is the row-major 1-based byte encoding; the minimum is taken over
-    all n! relabellings rho acting by out[rho(i)][rho(j)] = rho(flat[i][j]).
+    `flat` is the row-major 1-based byte encoding; a relabelling rho is the
+    bytes of its 1-based image array and acts by
+    out[rho(i)][rho(j)] = rho(flat[i][j]).  Returns (images, stabilizer):
+    `images` maps every distinct relabelled table to the least relabelling
+    that reaches it, and `stabilizer` lists the relabellings fixing `flat`,
+    least first.  By orbit-stabilizer len(images) * len(stabilizer) == n!.
+    Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n and every
+    entry lies in 1..n.
     """
+    if _speedups is not None:
+        return _speedups.orbit(flat, n)
+    return _orbit_pure(flat, n)
+
+
+def _orbit_pure(flat: bytes, n: int) -> tuple[dict[bytes, bytes], list[bytes]]:
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError("order out of range")
     if len(flat) != n * n:
         raise ValueError("flat length does not match order")
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    if _speedups is not None:
-        return _speedups.canon_min(flat, n)
-    return _canon_min_pure(flat, n)
-
-
-def _canon_min_pure(flat: bytes, n: int) -> bytes:
-    best = None
+    for x in flat:
+        if not 1 <= x <= n:
+            raise ValueError(f"entry {x} outside 1..{n}")
+    images: dict[bytes, bytes] = {}
+    stabilizer: list[bytes] = []
+    values = bytearray(range(256))
+    inverse = [0] * n
     rng = range(n)
     for p in itertools.permutations(rng):
-        cur = bytearray(n * n)
+        word = bytes(x + 1 for x in p)
+        values[1 : n + 1] = word
+        relabelled = flat.translate(values)
         for i in rng:
-            base = i * n
-            pin = p[i] * n
-            for j in rng:
-                cur[pin + p[j]] = p[flat[base + j] - 1] + 1
-        cand = bytes(cur)
-        if best is None or cand < best:
-            best = cand
-    return best
+            inverse[p[i]] = i
+        # out[a][b] = rho(flat[rho^-1(a)][rho^-1(b)])
+        cand = bytes([relabelled[q * n + r] for q in inverse for r in inverse])
+        images.setdefault(cand, word)
+        if cand == flat:
+            stabilizer.append(word)
+    return images, stabilizer
+
+
+def canon_min(flat: bytes, n: int) -> bytes:
+    """Lexicographically least relabelling of a table: the least orbit member."""
+    return min(orbit(flat, n)[0])

@@ -180,7 +180,6 @@ def _cmd_enumerate(args) -> int:
     opts = EnumerationOptions(
         strategy=args.strategy,
         jobs=args.jobs,
-        emit="all-matrices" if args.all else "classes",
         max_placements=args.cap,
     )
     if args.all:

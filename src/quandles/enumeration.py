@@ -19,7 +19,7 @@ from collections.abc import Iterator
 
 from . import _kernel
 from .matrix import QuandleMatrix
-from .symmetry import ClassRecord, automorphism_group, identify_group
+from .symmetry import ClassRecord, identify_group, stabilizer_group
 
 STRATEGIES = ("naive", "backtracking")
 _STRATEGY_CODE = {"naive": _kernel.NAIVE, "backtracking": _kernel.BACKTRACKING}
@@ -44,7 +44,6 @@ class ResourceLimitError(RuntimeError):
 class EnumerationOptions:
     strategy: str = "backtracking"
     jobs: int = 1
-    emit: str = "classes"  # or "all-matrices"
     max_placements: int = DEFAULT_MAX_PLACEMENTS
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class EnumerationOptions:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.emit not in ("classes", "all-matrices"):
-            raise ValueError("emit must be 'classes' or 'all-matrices'")
         if self.max_placements < 1:
             raise ValueError("max_placements must be positive")
 
@@ -127,34 +124,38 @@ def enumerate_all(n: int, opts: EnumerationOptions | None = None) -> Iterator[Qu
 def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> EnumerationReport:
     """Group the full table stream into isomorphism classes.
 
-    Deduplication hashes each table's canonical form, so the pairwise
-    relabelling comparison never runs; each class keeps its canonical
-    representative, automorphism group data, class size np, and the latin
-    and connectivity flags.
+    The tables are visited in sorted byte order, and each one not yet
+    claimed by a class makes a single orbit pass: it is the least member of
+    its class, hence the canonical representative; the orbit's size is np
+    and its stabilizer is Aut.  Each class keeps its representative,
+    automorphism group data, np, and the latin and connectivity flags.
     """
     opts = opts or EnumerationOptions()
     start = time.perf_counter()
     flats, _ = _scan_all(n, opts)
-    members: dict[bytes, int] = {}
-    for flat in flats:
-        key = _kernel.canon_min(flat, n)
-        members[key] = members.get(key, 0) + 1
+    unclaimed = set(flats)
     records = []
-    for key in sorted(members):
-        rep = QuandleMatrix.from_flat(key, n)
-        aut = automorphism_group(rep)
-        np = factorial(n) // aut.order
-        if np != members[key]:
+    for flat in sorted(unclaimed):
+        if flat not in unclaimed:
+            continue
+        images, stabilizer = _kernel.orbit(flat, n)
+        rep = QuandleMatrix.from_flat(flat, n)
+        # orbits are disjoint, so every member of this one must still be unclaimed
+        missing = images.keys() - unclaimed
+        if missing or len(images) * len(stabilizer) != factorial(n):
             raise RuntimeError(
-                f"orbit-stabilizer mismatch for {rep!r}: n!/|Aut| = {np}, "
-                f"orbit size = {members[key]}"
+                f"orbit-stabilizer mismatch for {rep!r}: orbit size {len(images)}, "
+                f"|Aut| = {len(stabilizer)}, {len(missing)} orbit members missing "
+                f"from the scan"
             )
+        unclaimed -= images.keys()
+        aut = stabilizer_group(n, stabilizer)
         records.append(
             ClassRecord(
                 representative=rep,
                 aut_order=aut.order,
                 aut_id=identify_group(aut),
-                np=np,
+                np=len(images),
                 latin=rep.is_latin(),
                 connected=rep.is_connected(),
             )

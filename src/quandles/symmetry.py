@@ -33,13 +33,6 @@ def permute(m: QuandleMatrix, rho: Permutation) -> QuandleMatrix:
     return QuandleMatrix(out)
 
 
-def _invariant_key(m: QuandleMatrix):
-    # cheap relabelling invariants used to refuse obvious non-isomorphs
-    col_types = tuple(sorted(m.column_permutation(j).cycle_type() for j in range(1, m.n + 1)))
-    orbit_sizes = tuple(sorted(len(b) for b in m.orbits()))
-    return col_types, m.is_latin(), orbit_sizes
-
-
 def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     """A witness rho with permute(a, rho) == b, or None.
 
@@ -48,48 +41,18 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     """
     if a.n != b.n:
         return None
-    if _invariant_key(a) != _invariant_key(b):
-        return None
-    n = a.n
-    arows = tuple(tuple(x - 1 for x in r) for r in a.rows)
-    brows = tuple(tuple(x - 1 for x in r) for r in b.rows)
-    rng = range(n)
-    for p in itertools.permutations(rng):
-        ok = True
-        for i in rng:
-            bi = brows[p[i]]
-            ai = arows[i]
-            for j in rng:
-                if bi[p[j]] != p[ai[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Permutation(x + 1 for x in p)
-    return None
+    witness = _kernel.orbit(a.flat(), a.n)[0].get(b.flat())
+    return None if witness is None else Permutation(witness)
+
+
+def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
+    """The group of the relabellings in a stabilizer list from _kernel.orbit."""
+    return PermGroup(n, (Permutation(w) for w in stabilizer), _trusted=True)
 
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
     """All permutations fixing m under the relabelling action."""
-    n = m.n
-    rows = tuple(tuple(x - 1 for x in r) for r in m.rows)
-    rng = range(n)
-    found = []
-    for p in itertools.permutations(rng):
-        ok = True
-        for i in rng:
-            target = rows[p[i]]
-            src = rows[i]
-            for j in rng:
-                if target[p[j]] != p[src[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(Permutation(x + 1 for x in p))
-    return PermGroup(n, found, _trusted=True)
+    return stabilizer_group(m.n, _kernel.orbit(m.flat(), m.n)[1])
 
 
 def np_count(m: QuandleMatrix) -> int:

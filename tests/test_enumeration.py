@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from quandles import (
     enumerate_classes,
     trivial,
 )
+from quandles import _kernel, cli, enumeration
 
 import tables
 
@@ -124,8 +126,32 @@ def test_options_validation():
     with pytest.raises(ValueError):
         EnumerationOptions(jobs=0)
     with pytest.raises(ValueError):
-        EnumerationOptions(emit="sideways")
-    with pytest.raises(ValueError):
         EnumerationOptions(max_placements=0)
     with pytest.raises(ValueError):
         list(enumerate_all(11))
+
+
+def test_order6_classification_pinned(fastest_kernel, capsys):
+    report = enumerate_classes(6)
+    assert len(report.classes) == 73
+    assert report.total_valid_matrices == 6658
+    assert sum(rec.np for rec in report.classes) == 6658
+    cli._print_classes_machine(report)
+    stream = capsys.readouterr().out.encode()
+    assert hashlib.md5(stream).hexdigest() == "bb3b3f9fd60bfcb8b73c3c3f2846ff3f"
+
+
+def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
+    flats, placements = enumeration._scan_all(4, EnumerationOptions())
+    np_of = {}
+    for rec in enumerate_classes(4).classes:
+        for image in _kernel.orbit(rec.representative.flat(), 4)[0]:
+            np_of[image] = rec.np
+    # a class of one table leaves no trace when dropped; every other drop shows
+    dropped = [k for k, flat in enumerate(flats) if np_of[flat] > 1]
+    assert len(dropped) == 35
+    for k in dropped:
+        partial = flats[:k] + flats[k + 1 :]
+        monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: (partial, placements))
+        with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
+            enumerate_classes(4)

@@ -1,14 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from quandles import _kernel
-
-needs_speedups = pytest.mark.skipif(
-    not _kernel.has_speedups(), reason="compiled kernel not built"
-)
+from quandles import _kernel, enumerate_classes
 
 
 def _pure_scan(n, strategy, lo=None, hi=None, cap=10**9):
@@ -28,20 +25,17 @@ def test_candidate_columns_fix_position():
         assert pool == sorted(pool)
 
 
-@needs_speedups
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("strategy", [_kernel.NAIVE, _kernel.BACKTRACKING])
-def test_backends_agree_exactly(n, strategy):
+def test_backends_agree_exactly(n, strategy, compiled):
     assert _kernel.scan(n, strategy) == _pure_scan(n, strategy)
 
 
-@needs_speedups
-def test_backends_agree_order5_backtracking():
+def test_backends_agree_order5_backtracking(compiled):
     assert _kernel.scan(5, _kernel.BACKTRACKING) == _pure_scan(5, _kernel.BACKTRACKING)
 
 
-@needs_speedups
-def test_backends_agree_on_partitions_and_caps():
+def test_backends_agree_on_partitions_and_caps(compiled):
     for lo, hi in [(0, 1), (2, 5), (0, 6), (5, 6)]:
         assert _kernel.scan(4, _kernel.BACKTRACKING, lo, hi) == _pure_scan(
             4, _kernel.BACKTRACKING, lo, hi
@@ -54,11 +48,75 @@ def test_backends_agree_on_partitions_and_caps():
         )
 
 
-@needs_speedups
-def test_canon_min_backends_agree():
-    flats, _, _ = _kernel.scan(4, _kernel.BACKTRACKING)
+def _same_orbit(compiled, flat, n):
+    images, stabilizer = compiled.orbit(flat, n)
+    pure_images, pure_stabilizer = _kernel._orbit_pure(flat, n)
+    # same entries in the same (lexicographic walk) order
+    assert list(images.items()) == list(pure_images.items())
+    assert stabilizer == pure_stabilizer
+    assert len(images) * len(stabilizer) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_backends_agree(n, compiled):
+    flats, _, _ = _pure_scan(n, _kernel.BACKTRACKING)
     for flat in flats:
-        assert _kernel.canon_min(flat, 4) == _kernel._canon_min_pure(flat, 4)
+        _same_orbit(compiled, flat, n)
+
+
+def test_orbit_backends_agree_on_order6_classes(compiled):
+    classes = enumerate_classes(6).classes
+    assert len(classes) == 73
+    for rec in classes:
+        _same_orbit(compiled, rec.representative.flat(), 6)
+
+
+def test_orbit_images_and_stabilizer():
+    # the transposition quandle of order 3: Aut = S3, a single table in its class
+    flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
+    images, stabilizer = _kernel.orbit(flat, 3)
+    assert images == {flat: b"\x01\x02\x03"}
+    assert stabilizer == sorted(stabilizer) and len(stabilizer) == 6
+    # order-3 class of size 3: the least witness of each image comes first
+    flat = bytes([1, 1, 1, 3, 2, 2, 2, 3, 3])
+    images, stabilizer = _kernel.orbit(flat, 3)
+    assert stabilizer == [b"\x01\x02\x03", b"\x01\x03\x02"]
+    assert list(images.values()) == [b"\x01\x02\x03", b"\x02\x01\x03", b"\x03\x01\x02"]
+    assert _kernel.canon_min(flat, 3) == min(images)
+
+
+@pytest.fixture(params=["python", "c"])
+def orbit_backend(request):
+    if request.param == "python":
+        return _kernel._orbit_pure
+    return request.getfixturevalue("compiled").orbit
+
+
+@pytest.mark.parametrize(
+    "flat, n",
+    [
+        (b"\x00" * 4, 2),  # entry below 1
+        (b"\x01\x09\x09\x02", 2),  # entry above n
+        (b"\x01\x02\x03\x04", 2),  # entry n + 1
+        (b"\x01\x01", 2),  # wrong length
+        (b"", 0),  # order below 1
+        (b"\x01" * 121, 11),  # order above MAX_ORDER
+    ],
+)
+def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
+    with pytest.raises(ValueError):
+        orbit_backend(flat, n)
+
+
+def test_compiled_scan_rejects_malformed_pools(compiled):
+    packed = [bytes([0, 1]), bytes([0, 1])]
+    assert compiled.scan(2, _kernel.BACKTRACKING, packed, 1, 0, 1, 100)[0] == [b"\x01\x01\x02\x02"]
+    with pytest.raises(ValueError):
+        compiled.scan(2, _kernel.BACKTRACKING, [bytes([0, 7]), bytes([0, 1])], 1, 0, 1, 100)
+    with pytest.raises(ValueError):
+        compiled.scan(2, _kernel.BACKTRACKING, packed, 1, 0, 2, 100)
+    with pytest.raises(ValueError):
+        compiled.scan(2, _kernel.BACKTRACKING, packed[:1], 1, 0, 1, 100)
 
 
 def test_scan_argument_validation():
