@@ -43,40 +43,30 @@ def candidate_columns0(n: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def scan(
-    n: int,
-    strategy: int,
-    first_lo: int | None = None,
-    first_hi: int | None = None,
-    cap: int = 10**9,
-) -> tuple[list[bytes], int, bool]:
+def scan(n: int, strategy: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
     """All standard-form quandle tables of order n, row-major 1-based bytes.
 
-    Columns are placed left to right from the lexicographic candidate lists,
-    restricted at the first position to [first_lo, first_hi); output order is
-    lexicographic in the column-index tuple for both strategies.  NAIVE
-    materializes every full candidate and checks it whole; BACKTRACKING
-    rejects a partial placement as soon as a fully determined triple fails.
-    Each column assignment counts as one placement; the scan stops once the
-    count exceeds `cap`, returning (partial output, count, True).
+    Columns are placed left to right from the lexicographic candidate lists;
+    output order is lexicographic in the column-index tuple for both
+    strategies.  NAIVE materializes every full candidate and checks it
+    whole; BACKTRACKING rejects a partial placement as soon as a fully
+    determined triple fails.  Each column assignment counts as one
+    placement; the scan stops once the count exceeds `cap`, returning
+    (partial output, count, True).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if strategy not in (NAIVE, BACKTRACKING):
         raise ValueError(f"unknown strategy code {strategy}")
     cands = candidate_columns0(n)
-    count = len(cands[0])
-    lo = 0 if first_lo is None else first_lo
-    hi = count if first_hi is None else first_hi
-    if not 0 <= lo <= hi <= count:
-        raise ValueError(f"first-column range [{lo}, {hi}) outside 0..{count}")
     if _speedups is not None:
-        packed = [b"".join(bytes(c) for c in cands[i]) for i in range(n)]
-        return _speedups.scan(n, strategy, packed, count, lo, hi, cap)
-    return _scan_pure(n, strategy, cands, lo, hi, cap)
+        packed = [b"".join(bytes(c) for c in pool) for pool in cands]
+        # the C count is a long long; no scan gets near its limit, so clamping is exact
+        return _speedups.scan(n, strategy, packed, len(cands[0]), max(0, min(cap, 2**63 - 1)))
+    return _scan_pure(n, strategy, cands, cap)
 
 
-def _scan_pure(n, strategy, cands, lo, hi, cap):
+def _scan_pure(n, strategy, cands, cap):
     out: list[bytes] = []
     cols: list[tuple[int, ...]] = [()] * n
     rng = range(n)
@@ -119,13 +109,12 @@ def _scan_pure(n, strategy, cands, lo, hi, cap):
 
     def walk(d):
         nonlocal placements, hit
-        pool = cands[d]
-        for idx in range(lo, hi) if d == 0 else range(len(pool)):
+        for col in cands[d]:
             placements += 1
             if placements > cap:
                 hit = True
                 return
-            cols[d] = pool[idx]
+            cols[d] = col
             if check_partials and not partial_ok(d):
                 continue
             if d == last:

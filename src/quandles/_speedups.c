@@ -53,7 +53,7 @@ full_ok(const unsigned char **col_at, int n)
 }
 
 PyDoc_STRVAR(scan_doc,
-"scan(n, strategy, packed, count, first_lo, first_hi, cap)\n\n"
+"scan(n, strategy, packed, count, cap)\n\n"
 "Mirror of quandles._kernel._scan_pure on packed candidate columns.\n\n"
 "`packed[i]` holds the candidate columns for position i as count*n bytes of\n"
 "0-indexed values.  Returns (matrices, placements, hit_cap) with matrices\n"
@@ -62,27 +62,26 @@ PyDoc_STRVAR(scan_doc,
 static PyObject *
 scan(PyObject *self, PyObject *args)
 {
-    int n, strategy, count, first_lo, first_hi;
-    long long cap;
+    int n_arg, strategy, count_arg;
+    long long cap_arg;
     PyObject *packed;
     const unsigned char *pools[MAX_ORDER];
     const unsigned char *col_at[MAX_ORDER];
     int idx[MAX_ORDER + 1];
     unsigned char buf[MAX_ORDER * MAX_ORDER];
 
-    if (!PyArg_ParseTuple(args, "iiO!iiiL", &n, &strategy, &PyList_Type, &packed,
-                          &count, &first_lo, &first_hi, &cap))
+    if (!PyArg_ParseTuple(args, "iiO!iL", &n_arg, &strategy, &PyList_Type, &packed,
+                          &count_arg, &cap_arg))
         return NULL;
+    /* copies whose address is never taken, so the hot loop keeps them in registers */
+    const int n = n_arg, count = count_arg;
+    const long long cap = cap_arg;
     if (n < 1 || n > MAX_ORDER) {
         PyErr_SetString(PyExc_ValueError, "order out of range");
         return NULL;
     }
     if (PyList_GET_SIZE(packed) != n) {
         PyErr_SetString(PyExc_ValueError, "need one candidate pool per position");
-        return NULL;
-    }
-    if (count < 0 || first_lo < 0 || first_lo > first_hi || first_hi > count) {
-        PyErr_SetString(PyExc_ValueError, "first-column range outside the candidate pool");
         return NULL;
     }
     for (int i = 0; i < n; i++) {
@@ -111,10 +110,9 @@ scan(PyObject *self, PyObject *args)
     int backtracking = strategy == BACKTRACKING;
     int depth = 0;
     int last = n - 1;
-    idx[0] = first_lo;
+    idx[0] = 0;
     while (depth >= 0) {
-        int hi_d = depth == 0 ? first_hi : count;
-        if (idx[depth] >= hi_d) {
+        if (idx[depth] >= count) {
             depth--;
             continue;
         }

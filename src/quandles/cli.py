@@ -177,11 +177,7 @@ def _print_classes_machine(report: EnumerationReport) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    opts = EnumerationOptions(
-        strategy=args.strategy,
-        jobs=args.jobs,
-        max_placements=args.cap,
-    )
+    opts = EnumerationOptions(strategy=args.strategy, max_placements=args.cap)
     if args.all:
         matrices = list(enumerate_all(args.n, opts))
         if args.machine:
@@ -252,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify all quandles of one order")
     p.add_argument("n", type=int)
     p.add_argument("--strategy", choices=("naive", "backtracking"), default="backtracking")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                   help="accepted for compatibility; the scan is serial")
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
     p.add_argument("--cap", type=int, default=EnumerationOptions().max_placements,

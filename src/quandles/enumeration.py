@@ -43,14 +43,11 @@ class ResourceLimitError(RuntimeError):
 @dataclass(frozen=True)
 class EnumerationOptions:
     strategy: str = "backtracking"
-    jobs: int = 1
     max_placements: int = DEFAULT_MAX_PLACEMENTS
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.max_placements < 1:
             raise ValueError("max_placements must be positive")
 
@@ -81,30 +78,12 @@ def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
     return [tuple(v + 1 for v in col) for col in pools[i - 1]]
 
 
-def _scan_task(args: tuple[int, int, int, int, int]) -> tuple[list[bytes], int, bool]:
-    n, code, lo, hi, cap = args
-    return _kernel.scan(n, code, lo, hi, cap)
-
-
 def _scan_all(n: int, opts: EnumerationOptions) -> tuple[list[bytes], int]:
-    code = _STRATEGY_CODE[opts.strategy]
-    cap = opts.max_placements
-    first_count = factorial(n - 1)
-    jobs = min(opts.jobs, first_count)
-    if jobs <= 1:
-        flats, placements, hit = _kernel.scan(n, code, 0, first_count, cap)
-    else:
-        # one partition per first-column candidate; merge in partition order
-        from multiprocessing import get_context
-
-        tasks = [(n, code, lo, lo + 1, cap) for lo in range(first_count)]
-        with get_context().Pool(processes=jobs) as pool:
-            results = pool.map(_scan_task, tasks)
-        flats = [f for part, _, _ in results for f in part]
-        placements = sum(p for _, p, _ in results)
-        hit = any(h for _, _, h in results) or placements > cap
+    flats, placements, hit = _kernel.scan(
+        n, _STRATEGY_CODE[opts.strategy], cap=opts.max_placements
+    )
     if hit:
-        raise ResourceLimitError(n, placements, cap)
+        raise ResourceLimitError(n, placements, opts.max_placements)
     return flats, placements
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .permutation import PermGroup, Permutation
+from .permutation import PermGroup, Permutation, orbit_partition
 
 
 class QuandleParseError(ValueError):
@@ -92,6 +92,8 @@ class QuandleMatrix:
         return self.rows[i - 1][j - 1]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 1 <= i <= self.n:
+            raise IndexError(f"row {i} outside 1..{self.n}")
         return self.rows[i - 1]
 
     def column(self, j: int) -> tuple[int, ...]:
@@ -182,24 +184,8 @@ class QuandleMatrix:
         return PermGroup.generate(gens, self.n)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition under the inner group, via union-find on the columns."""
-        parent = list(range(self.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for j in range(self.n):
-            for i in range(self.n):
-                a, b = find(i + 1), find(self.rows[i][j])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        blocks: dict[int, list[int]] = {}
-        for i in range(1, self.n + 1):
-            blocks.setdefault(find(i), []).append(i)
-        return tuple(tuple(blocks[r]) for r in sorted(blocks))
+        """Orbit partition under the inner group, generated by the columns."""
+        return orbit_partition(self.n, zip(*self.rows))
 
     def is_connected(self) -> bool:
         """True when the inner group acts transitively."""

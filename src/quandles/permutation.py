@@ -148,6 +148,32 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+def orbit_partition(
+    degree: int, maps: Iterable[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits of {1..degree} under the maps, each a tuple of 1-based images.
+
+    Union-find over the edges i -> map(i); blocks are sorted by least element.
+    """
+    parent = list(range(degree + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for images in maps:
+        for i, v in enumerate(images, start=1):
+            a, b = find(i), find(v)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks: dict[int, list[int]] = {}
+    for i in range(1, degree + 1):
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
 class PermGroup:
     """A set of permutations of one degree, closed under composition and inverse."""
 
@@ -255,23 +281,7 @@ class PermGroup:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of {1..degree}, blocks sorted by least element."""
-        parent = list(range(self.degree + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators():
-            for i in range(1, self.degree + 1):
-                a, b = find(i), find(g(i))
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        blocks: dict[int, list[int]] = {}
-        for i in range(1, self.degree + 1):
-            blocks.setdefault(find(i), []).append(i)
-        return tuple(tuple(blocks[r]) for r in sorted(blocks))
+        return orbit_partition(self.degree, (g.images for g in self.generators()))
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

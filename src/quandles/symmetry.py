@@ -126,7 +126,9 @@ class GroupId:
 
 
 def _fingerprint(g: PermGroup) -> tuple:
-    return (g.order, g.element_order_histogram(), g.is_abelian(), g.center_order())
+    # abelian is the same fact as a full center; this builds generators() once
+    center = g.center_order()
+    return (g.order, g.element_order_histogram(), center == g.order, center)
 
 
 @lru_cache(maxsize=1)

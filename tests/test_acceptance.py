@@ -10,7 +10,6 @@ import random
 from math import factorial
 
 from quandles import (
-    EnumerationOptions,
     QuandleMatrix,
     alexander,
     are_isomorphic,
@@ -18,7 +17,6 @@ from quandles import (
     conjugation,
     determinant,
     dihedral,
-    enumerate_all,
     np_count,
     np_count_explicit,
     permute,
@@ -152,14 +150,11 @@ def test_criterion_09_property_suite(matrices_for, report_for):
     ok = ok and [r.representative for r in naive5.classes] == [
         r.representative for r in back5.classes
     ]
-    seq = b"".join(m.flat() for m in enumerate_all(5, EnumerationOptions(jobs=1)))
-    par = b"".join(m.flat() for m in enumerate_all(5, EnumerationOptions(jobs=3)))
-    ok = ok and seq == par
     _check(
         9,
         ok,
         "447 tables: trace/dual/latin-implies-connected hold; 200 random "
-        "relabellings stay valid; strategies agree; parallel output byte-identical",
+        "relabellings stay valid; strategies agree",
     )
 
 

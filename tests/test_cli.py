@@ -138,9 +138,8 @@ def test_enumerate_machine_golden(capsys):
     )
 
 
-def test_enumerate_machine_stable_across_jobs_and_strategies(capsys):
+def test_enumerate_machine_stable_across_strategies(capsys):
     base = _run(capsys, ["enumerate", "4", "--machine"])[1]
-    assert _run(capsys, ["enumerate", "4", "--machine", "--jobs", "3"])[1] == base
     assert _run(capsys, ["enumerate", "4", "--machine", "--strategy", "naive"])[1] == base
     assert _run(capsys, ["enumerate", "4", "--machine"])[1] == base
     assert base.count("aut=") == 7
@@ -165,6 +164,31 @@ def test_enumerate_cap_exit_code(capsys):
     code, _, err = _run(capsys, ["enumerate", "5", "--cap", "100"])
     assert code == 3
     assert "aborted" in err
+    # one budget: the serial scan stops at the first placement past the cap
+    code, _, err = _run(capsys, ["enumerate", "5", "--cap", "2000"])
+    assert code == 3
+    assert "after 2001 column placements (cap 2000)" in err
+
+
+def test_enumerate_cap_beyond_64_bits(fastest_kernel, capsys):
+    code, out, _ = _run(capsys, ["enumerate", "3", "--machine", "--cap", str(10**20)])
+    assert code == 0
+    assert out.count("aut=") == 3
+
+
+def test_enumerate_jobs_accepts_only_one(capsys):
+    base = _run(capsys, ["enumerate", "4", "--machine"])[1]
+    assert _run(capsys, ["enumerate", "4", "--machine", "--jobs", "1"]) == (0, base, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "4", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_enumerate_order_out_of_range(capsys):
+    for n in ("0", "11"):
+        code, _, err = _run(capsys, ["enumerate", n])
+        assert code == 1
+        assert "order must be in 1..10" in err
 
 
 def test_usage_error_exit_code():

@@ -83,16 +83,6 @@ def test_naive_classes_match(report_for):
         ]
 
 
-def test_parallel_matches_sequential():
-    seq = enumerate_classes(4, EnumerationOptions(jobs=1))
-    par = enumerate_classes(4, EnumerationOptions(jobs=3))
-    assert [r.representative for r in seq.classes] == [r.representative for r in par.classes]
-    assert seq.total_valid_matrices == par.total_valid_matrices
-    seq_all = list(enumerate_all(4, EnumerationOptions(jobs=1)))
-    par_all = list(enumerate_all(4, EnumerationOptions(jobs=2)))
-    assert seq_all == par_all
-
-
 def test_latin_classes_order5(report_for):
     latin = [rec for rec in report_for(5).classes if rec.latin]
     assert len(latin) == 3
@@ -123,8 +113,6 @@ def test_resource_cap():
 def test_options_validation():
     with pytest.raises(ValueError):
         EnumerationOptions(strategy="magic")
-    with pytest.raises(ValueError):
-        EnumerationOptions(jobs=0)
     with pytest.raises(ValueError):
         EnumerationOptions(max_placements=0)
     with pytest.raises(ValueError):

@@ -8,12 +8,8 @@ import pytest
 from quandles import _kernel, enumerate_classes
 
 
-def _pure_scan(n, strategy, lo=None, hi=None, cap=10**9):
-    cands = _kernel.candidate_columns0(n)
-    count = len(cands[0])
-    return _kernel._scan_pure(
-        n, strategy, cands, 0 if lo is None else lo, count if hi is None else hi, cap
-    )
+def _pure_scan(n, strategy, cap=10**9):
+    return _kernel._scan_pure(n, strategy, _kernel.candidate_columns0(n), cap)
 
 
 def test_candidate_columns_fix_position():
@@ -35,17 +31,23 @@ def test_backends_agree_order5_backtracking(compiled):
     assert _kernel.scan(5, _kernel.BACKTRACKING) == _pure_scan(5, _kernel.BACKTRACKING)
 
 
-def test_backends_agree_on_partitions_and_caps(compiled):
-    for lo, hi in [(0, 1), (2, 5), (0, 6), (5, 6)]:
-        assert _kernel.scan(4, _kernel.BACKTRACKING, lo, hi) == _pure_scan(
-            4, _kernel.BACKTRACKING, lo, hi
-        )
+def test_backends_agree_on_caps(compiled):
     # identical partial output and placement count at the cap
     for cap in (1, 10, 137, 1000):
         assert _kernel.scan(4, _kernel.NAIVE, cap=cap) == _pure_scan(4, _kernel.NAIVE, cap=cap)
         assert _kernel.scan(4, _kernel.BACKTRACKING, cap=cap) == _pure_scan(
             4, _kernel.BACKTRACKING, cap=cap
         )
+
+
+def test_backends_agree_past_the_c_counter_range(compiled):
+    # the compiled kernel counts in a long long; a larger cap is clamped, not an error
+    expected = _pure_scan(3, _kernel.BACKTRACKING, cap=10**20)
+    assert expected[2] is False
+    assert _kernel.scan(3, _kernel.BACKTRACKING, cap=10**20) == expected
+    assert _kernel.scan(3, _kernel.BACKTRACKING, cap=-(10**20)) == _pure_scan(
+        3, _kernel.BACKTRACKING, cap=-(10**20)
+    )
 
 
 def _same_orbit(compiled, flat, n):
@@ -110,13 +112,13 @@ def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
 
 def test_compiled_scan_rejects_malformed_pools(compiled):
     packed = [bytes([0, 1]), bytes([0, 1])]
-    assert compiled.scan(2, _kernel.BACKTRACKING, packed, 1, 0, 1, 100)[0] == [b"\x01\x01\x02\x02"]
+    assert compiled.scan(2, _kernel.BACKTRACKING, packed, 1, 100)[0] == [b"\x01\x01\x02\x02"]
     with pytest.raises(ValueError):
-        compiled.scan(2, _kernel.BACKTRACKING, [bytes([0, 7]), bytes([0, 1])], 1, 0, 1, 100)
+        compiled.scan(2, _kernel.BACKTRACKING, [bytes([0, 7]), bytes([0, 1])], 1, 100)
     with pytest.raises(ValueError):
-        compiled.scan(2, _kernel.BACKTRACKING, packed, 1, 0, 2, 100)
+        compiled.scan(2, _kernel.BACKTRACKING, packed, 2, 100)
     with pytest.raises(ValueError):
-        compiled.scan(2, _kernel.BACKTRACKING, packed[:1], 1, 0, 1, 100)
+        compiled.scan(2, _kernel.BACKTRACKING, packed[:1], 1, 100)
 
 
 def test_scan_argument_validation():
@@ -126,8 +128,8 @@ def test_scan_argument_validation():
         _kernel.scan(11, _kernel.NAIVE)
     with pytest.raises(ValueError):
         _kernel.scan(3, 7)
-    with pytest.raises(ValueError):
-        _kernel.scan(3, _kernel.NAIVE, 0, 99)
+    with pytest.raises(TypeError):
+        _kernel.scan(3, _kernel.NAIVE, 99)  # the cap is keyword-only
     with pytest.raises(ValueError):
         _kernel.canon_min(b"\x01\x01", 2)
 

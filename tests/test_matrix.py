@@ -111,6 +111,17 @@ def test_apply():
         m.apply(1, 4)
 
 
+def test_row_and_column_bounds():
+    m = dihedral(3)
+    assert m.row(3) == (2, 1, 3)
+    assert m.column(3) == (2, 1, 3)
+    for k in (0, -1, 4):
+        with pytest.raises(IndexError):
+            m.row(k)
+        with pytest.raises(IndexError):
+            m.column(k)
+
+
 def test_column_permutation():
     assert dihedral(3).column_permutation(1) == Permutation.parse("(2 3)", 3)
     t = trivial(4)

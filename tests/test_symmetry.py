@@ -151,6 +151,16 @@ def test_identify_small_groups():
     assert unknown.order == 7
 
 
+def test_fingerprint_abelian_flag_matches_group(report_for):
+    for rec in report_for(5).classes:
+        aut = automorphism_group(rec.representative)
+        assert rec.aut_id.abelian == aut.is_abelian()
+        assert rec.aut_id.center_order == aut.center_order()
+    s3 = PermGroup.generate([Permutation.parse("(1 2)", 3), Permutation.parse("(1 2 3)", 3)])
+    s3 = identify_group(s3)
+    assert (s3.label, s3.abelian, s3.center_order) == ("S3", False, 1)
+
+
 def test_label_table_fingerprints_are_distinct():
     table = _label_table()  # raises on any fingerprint collision
     assert len(table) == 14
