@@ -15,6 +15,7 @@ import os
 
 NAIVE = 0
 BACKTRACKING = 1
+CLOSURE = 2
 MAX_ORDER = 10  # entries are single bytes and the scan state is fixed-size
 
 if os.environ.get("QUANDLES_PURE_PYTHON", "") not in ("", "0"):
@@ -46,23 +47,30 @@ def candidate_columns0(n: int) -> list[list[tuple[int, ...]]]:
 def scan(n: int, strategy: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
     """All standard-form quandle tables of order n, row-major 1-based bytes.
 
-    Columns are placed left to right from the lexicographic candidate lists;
-    output order is lexicographic in the column-index tuple for both
-    strategies.  NAIVE materializes every full candidate and checks it
+    Column j of a table is its right translation R_j (i -> i|>j); position
+    i draws from the lexicographic candidate list of columns fixing i.
+    NAIVE places columns left to right and checks each full candidate
     whole; BACKTRACKING rejects a partial placement as soon as a fully
-    determined triple fails.  Each column assignment counts as one
-    placement; the scan stops once the count exceeds `cap`, returning
-    (partial output, count, True).
+    determined triple fails.  CLOSURE branches on the least unplaced
+    position and then forces columns by self-distributivity,
+    R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint, rejecting the branch when a
+    forced column contradicts a placed one.  All three emit the same tables
+    in the same order, lexicographic in the column-index tuple.  Each tried
+    candidate counts as one placement (forced columns are free); the scan
+    stops once the count exceeds `cap`, returning (partial output, count,
+    True).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    if strategy not in (NAIVE, BACKTRACKING):
+    if strategy not in (NAIVE, BACKTRACKING, CLOSURE):
         raise ValueError(f"unknown strategy code {strategy}")
     cands = candidate_columns0(n)
     if _speedups is not None:
         packed = [b"".join(bytes(c) for c in pool) for pool in cands]
         # the C count is a long long; no scan gets near its limit, so clamping is exact
         return _speedups.scan(n, strategy, packed, len(cands[0]), max(0, min(cap, 2**63 - 1)))
+    if strategy == CLOSURE:
+        return _scan_closure_pure(n, cands, cap)
     return _scan_pure(n, strategy, cands, cap)
 
 
@@ -126,6 +134,65 @@ def _scan_pure(n, strategy, cands, cap):
                     return
 
     walk(0)
+    return out, placements, hit
+
+
+def _scan_closure_pure(n, cands, cap):
+    out: list[bytes] = []
+    cols: list[tuple[int, ...] | None] = [None] * n  # cols[t] is R_t once placed or forced
+    trail: list[int] = []  # positions in the order they were set
+    rng = range(n)
+
+    def propagate(start):
+        # pair each newly set position with every position set up to it;
+        # pairs with positions set later are met when those are dequeued
+        q = start
+        while q < len(trail):
+            a = trail[q]
+            for b in trail[: q + 1]:
+                for k, j in ((a, b), (b, a)) if a != b else ((a, a),):
+                    ck = cols[k]
+                    cj = cols[j]
+                    # R_{R_k(j)} = R_k R_j R_k^-1: the column F with F[R_k(y)] = R_k(R_j(y))
+                    forced = [0] * n
+                    for y in rng:
+                        forced[ck[y]] = ck[cj[y]]
+                    forced = tuple(forced)
+                    t = ck[j]
+                    ct = cols[t]
+                    if ct is None:
+                        cols[t] = forced
+                        trail.append(t)
+                    elif ct != forced:
+                        return False
+            q += 1
+        return True
+
+    placements = 0
+    hit = False
+
+    def walk():
+        nonlocal placements, hit
+        d = cols.index(None)
+        mark = len(trail)
+        for col in cands[d]:
+            placements += 1
+            if placements > cap:
+                hit = True
+                return
+            cols[d] = col
+            trail.append(d)
+            if propagate(mark):
+                if len(trail) == n:
+                    out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
+                else:
+                    walk()
+                    if hit:
+                        return
+            while len(trail) > mark:
+                cols[trail.pop()] = None
+
+    walk()
     return out, placements, hit
 
 

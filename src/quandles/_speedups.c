@@ -1,4 +1,4 @@
-/* Compiled kernels for quandles._kernel: the column scan and the relabelling orbit.
+/* Compiled kernels for quandles._kernel: the column scans and the relabelling orbit.
 
    Both must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
@@ -11,7 +11,9 @@
 #include <string.h>
 
 #define MAX_ORDER 10
+#define NAIVE 0
 #define BACKTRACKING 1
+#define CLOSURE 2
 
 /* pairs (j, k) whose columns j, k and col_at[k][j] all complete at depth d */
 static int
@@ -52,9 +54,131 @@ full_ok(const unsigned char **col_at, int n)
     return 1;
 }
 
+/* Append the table whose column c is col_at[c] to `out` as row-major 1-based bytes. */
+static int
+append_table(PyObject *out, const unsigned char *const *col_at, int n)
+{
+    unsigned char buf[MAX_ORDER * MAX_ORDER];
+    for (int r = 0; r < n; r++)
+        for (int c = 0; c < n; c++)
+            buf[r * n + c] = col_at[c][r] + 1;
+    PyObject *table = PyBytes_FromStringAndSize((const char *)buf, n * n);
+    if (table == NULL)
+        return -1;
+    int err = PyList_Append(out, table);
+    Py_DECREF(table);
+    return err;
+}
+
+/* Search state of the closure strategy, on the stack of one scan call.
+   col_at[t] is R_t (a pool entry or forced[t]) or NULL while unset; trail
+   lists the set positions in the order they were set. */
+struct closure {
+    int n;
+    int len;
+    int trail[MAX_ORDER];
+    const unsigned char *col_at[MAX_ORDER];
+    unsigned char forced[MAX_ORDER][MAX_ORDER];
+};
+
+/* Force R_{R_k(j)} = R_k R_j R_k^-1 if that column is unset, else check it;
+   0 when it contradicts the column already set. */
+static int
+closure_force(struct closure *s, int k, int j)
+{
+    const int n = s->n;
+    const unsigned char *ck = s->col_at[k], *cj = s->col_at[j];
+    const int t = ck[j];
+    const unsigned char *ct = s->col_at[t];
+    if (ct != NULL) {
+        for (int y = 0; y < n; y++)
+            if (ct[ck[y]] != ck[cj[y]])
+                return 0;
+        return 1;
+    }
+    unsigned char *f = s->forced[t];
+    for (int y = 0; y < n; y++)
+        f[ck[y]] = ck[cj[y]];
+    s->col_at[t] = f;
+    s->trail[s->len++] = t;
+    return 1;
+}
+
+/* Pair each position set from trail[start] on with every position set up
+   to it, in both orders, until no new position is set.  Pairs with a
+   position set later are met when that position is dequeued. */
+static int
+closure_propagate(struct closure *s, int start)
+{
+    for (int q = start; q < s->len; q++) {
+        const int a = s->trail[q];
+        for (int p = 0; p <= q; p++) {
+            const int b = s->trail[p];
+            if (!closure_force(s, a, b) || (a != b && !closure_force(s, b, a)))
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* Mirror of quandles._kernel._scan_closure_pure: branch on the least unset
+   position, propagate, undo through the trail.  Each position is set at most
+   once along a path, so the trail and the frame stack hold at most n entries. */
+static PyObject *
+closure_scan(const unsigned char *const *pools, const int n, const int count, const long long cap)
+{
+    struct closure s;
+    struct {
+        int pos, next, mark;
+    } frame[MAX_ORDER];
+    memset(&s, 0, sizeof s);
+    s.n = n;
+    PyObject *out = PyList_New(0);
+    if (out == NULL)
+        return NULL;
+    long long placements = 0;
+    int hit = 0;
+    int top = 0;
+    frame[0].pos = frame[0].next = frame[0].mark = 0;
+    while (top >= 0) {
+        const int pos = frame[top].pos, mark = frame[top].mark;
+        while (s.len > mark)
+            s.col_at[s.trail[--s.len]] = NULL;
+        if (frame[top].next >= count) {
+            top--;
+            continue;
+        }
+        const int i = frame[top].next++;
+        if (++placements > cap) {
+            hit = 1;
+            break;
+        }
+        s.col_at[pos] = pools[pos] + (Py_ssize_t)i * n;
+        s.trail[s.len++] = pos;
+        if (!closure_propagate(&s, mark))
+            continue;
+        if (s.len == n) {
+            if (append_table(out, s.col_at, n) < 0) {
+                Py_DECREF(out);
+                return NULL;
+            }
+            continue;
+        }
+        int d = 0;
+        while (s.col_at[d] != NULL)
+            d++;
+        top++;
+        frame[top].pos = d;
+        frame[top].next = 0;
+        frame[top].mark = s.len;
+    }
+    return Py_BuildValue("(NLO)", out, placements, hit ? Py_True : Py_False);
+}
+
 PyDoc_STRVAR(scan_doc,
 "scan(n, strategy, packed, count, cap)\n\n"
-"Mirror of quandles._kernel._scan_pure on packed candidate columns.\n\n"
+"Mirror of quandles._kernel._scan_pure (NAIVE, BACKTRACKING) and\n"
+"_scan_closure_pure (CLOSURE) on packed candidate columns.\n\n"
 "`packed[i]` holds the candidate columns for position i as count*n bytes of\n"
 "0-indexed values.  Returns (matrices, placements, hit_cap) with matrices\n"
 "as row-major 1-based bytes.");
@@ -68,7 +192,6 @@ scan(PyObject *self, PyObject *args)
     const unsigned char *pools[MAX_ORDER];
     const unsigned char *col_at[MAX_ORDER];
     int idx[MAX_ORDER + 1];
-    unsigned char buf[MAX_ORDER * MAX_ORDER];
 
     if (!PyArg_ParseTuple(args, "iiO!iL", &n_arg, &strategy, &PyList_Type, &packed,
                           &count_arg, &cap_arg))
@@ -78,6 +201,10 @@ scan(PyObject *self, PyObject *args)
     const long long cap = cap_arg;
     if (n < 1 || n > MAX_ORDER) {
         PyErr_SetString(PyExc_ValueError, "order out of range");
+        return NULL;
+    }
+    if (strategy != NAIVE && strategy != BACKTRACKING && strategy != CLOSURE) {
+        PyErr_SetString(PyExc_ValueError, "unknown strategy code");
         return NULL;
     }
     if (PyList_GET_SIZE(packed) != n) {
@@ -102,6 +229,9 @@ scan(PyObject *self, PyObject *args)
             }
     }
 
+    if (strategy == CLOSURE)
+        return closure_scan(pools, n, count, cap);
+
     PyObject *out = PyList_New(0);
     if (out == NULL)
         return NULL;
@@ -125,17 +255,9 @@ scan(PyObject *self, PyObject *args)
         if (backtracking && !partial_ok(col_at, depth, n))
             continue;
         if (depth == last) {
-            if (backtracking || full_ok(col_at, n)) {
-                for (int r = 0; r < n; r++)
-                    for (int c = 0; c < n; c++)
-                        buf[r * n + c] = col_at[c][r] + 1;
-                PyObject *table = PyBytes_FromStringAndSize((const char *)buf, n * n);
-                if (table == NULL || PyList_Append(out, table) < 0) {
-                    Py_XDECREF(table);
-                    Py_DECREF(out);
-                    return NULL;
-                }
-                Py_DECREF(table);
+            if ((backtracking || full_ok(col_at, n)) && append_table(out, col_at, n) < 0) {
+                Py_DECREF(out);
+                return NULL;
             }
         }
         else {

@@ -14,6 +14,7 @@ import sys
 from . import construct
 from ._kernel import backend
 from .enumeration import (
+    STRATEGIES,
     EnumerationOptions,
     EnumerationReport,
     ResourceLimitError,
@@ -247,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="classify all quandles of one order")
     p.add_argument("n", type=int)
-    p.add_argument("--strategy", choices=("naive", "backtracking"), default="backtracking")
+    p.add_argument("--strategy", choices=STRATEGIES, default=EnumerationOptions().strategy)
     p.add_argument("--jobs", type=int, choices=(1,), default=1,
                    help="accepted for compatibility; the scan is serial")
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
     p.add_argument("--cap", type=int, default=EnumerationOptions().max_placements,
-                   help="abort after this many column placements")
+                   help="abort after this many column placements (tried candidates; "
+                   "columns the closure strategy forces are free)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("backend", help="report which scan kernel is active")

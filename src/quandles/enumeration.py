@@ -2,11 +2,15 @@
 
 Candidate tables are assembled column by column: position i draws from the
 (n-1)! columns that fix i, so every candidate already satisfies the diagonal
-and column conditions and only self-distributivity needs checking.  The
-`naive` strategy materializes all (n-1)!^n candidates and checks each one;
-`backtracking` rejects partial placements as soon as a fully determined
-triple fails.  Both emit the same tables in the same order (lexicographic in
-the column-index tuple), which keeps output files stable and makes the
+and column conditions and only self-distributivity needs checking.  Column j
+is the right translation R_j, and self-distributivity reads
+R_{R_k(j)} = R_k R_j R_k^-1.  The `naive` strategy materializes all
+(n-1)!^n candidates and checks each one; `backtracking` rejects partial
+placements as soon as a fully determined triple fails; `closure` (the
+default) branches on the least unplaced column and forces every column the
+identity determines from the placed ones, so only branches count as
+placements.  All three emit the same tables in the same order (lexicographic
+in the column-index tuple), which keeps output files stable and makes the
 strategies cross-checkable.
 """
 
@@ -21,8 +25,12 @@ from . import _kernel
 from .matrix import QuandleMatrix
 from .symmetry import ClassRecord, identify_group, stabilizer_group
 
-STRATEGIES = ("naive", "backtracking")
-_STRATEGY_CODE = {"naive": _kernel.NAIVE, "backtracking": _kernel.BACKTRACKING}
+STRATEGIES = ("naive", "backtracking", "closure")
+_STRATEGY_CODE = {
+    "naive": _kernel.NAIVE,
+    "backtracking": _kernel.BACKTRACKING,
+    "closure": _kernel.CLOSURE,
+}
 
 DEFAULT_MAX_PLACEMENTS = 10**9
 
@@ -42,7 +50,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationOptions:
-    strategy: str = "backtracking"
+    strategy: str = "closure"
     max_placements: int = DEFAULT_MAX_PLACEMENTS
 
     def __post_init__(self):
@@ -91,8 +99,9 @@ def enumerate_all(n: int, opts: EnumerationOptions | None = None) -> Iterator[Qu
     """Every standard-form quandle table of order n, exactly once.
 
     Raises ResourceLimitError before yielding anything when the scan blows
-    the placement budget (the naive strategy needs (n-1)!^n placements, which
-    is hopeless from n = 7 on and already past the default cap at n = 6).
+    the placement budget: the naive strategy needs (n-1)!^n placements,
+    already past the default cap at n = 6; backtracking passes it at n = 7
+    and closure at n = 8.
     """
     opts = opts or EnumerationOptions()
     flats, _ = _scan_all(n, opts)
@@ -120,14 +129,14 @@ def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> Enumera
         images, stabilizer = _kernel.orbit(flat, n)
         rep = QuandleMatrix.from_flat(flat, n)
         # orbits are disjoint, so every member of this one must still be unclaimed
-        missing = images.keys() - unclaimed
+        missing = [image for image in images if image not in unclaimed]
         if missing or len(images) * len(stabilizer) != factorial(n):
             raise RuntimeError(
                 f"orbit-stabilizer mismatch for {rep!r}: orbit size {len(images)}, "
                 f"|Aut| = {len(stabilizer)}, {len(missing)} orbit members missing "
                 f"from the scan"
             )
-        unclaimed -= images.keys()
+        unclaimed.difference_update(images)
         aut = stabilizer_group(n, stabilizer)
         records.append(
             ClassRecord(

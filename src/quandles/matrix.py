@@ -78,7 +78,10 @@ class QuandleMatrix:
 
     @classmethod
     def from_flat(cls, flat: bytes | Iterable[int], n: int) -> QuandleMatrix:
+        """The n x n table with row-major entries `flat`; exactly n*n of them."""
         flat = list(flat)
+        if len(flat) != n * n:
+            raise ValueError(f"flat table has {len(flat)} entries, an order-{n} table has {n * n}")
         return cls(flat[i * n : (i + 1) * n] for i in range(n))
 
     def flat(self) -> bytes:

@@ -22,9 +22,9 @@ _streams: dict = {}
 
 @pytest.fixture(scope="session")
 def report_for():
-    """Session-cached enumerate_classes(n, strategy)."""
+    """Session-cached enumerate_classes(n, strategy), the library default strategy unless given."""
 
-    def get(n, strategy="backtracking"):
+    def get(n, strategy=EnumerationOptions().strategy):
         key = (n, strategy)
         if key not in _reports:
             _reports[key] = enumerate_classes(n, EnumerationOptions(strategy=strategy))
@@ -35,9 +35,9 @@ def report_for():
 
 @pytest.fixture(scope="session")
 def matrices_for():
-    """Session-cached list(enumerate_all(n, strategy))."""
+    """Session-cached list(enumerate_all(n, strategy)), the library default strategy unless given."""
 
-    def get(n, strategy="backtracking"):
+    def get(n, strategy=EnumerationOptions().strategy):
         key = (n, strategy)
         if key not in _streams:
             _streams[key] = list(enumerate_all(n, EnumerationOptions(strategy=strategy)))

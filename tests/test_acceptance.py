@@ -42,14 +42,14 @@ def test_criterion_01_class_counts_and_runtime(report_for):
     for n in range(1, 5):
         ok = ok and report_for(n).elapsed < 1.0
     naive5 = report_for(5, "naive")
-    back5 = report_for(5)
+    default5 = report_for(5)
     ok = ok and len(naive5.classes) == 22 and naive5.elapsed < 300.0
-    ok = ok and back5.elapsed < 10.0
+    ok = ok and default5.elapsed < 10.0
     _check(
         1,
         ok,
         f"class counts 1,1,3,7,22 for n=1..5; naive n=5 in {naive5.elapsed:.2f}s, "
-        f"backtracking in {back5.elapsed:.2f}s",
+        f"{default5.strategy} in {default5.elapsed:.2f}s",
     )
 
 
@@ -145,10 +145,10 @@ def test_criterion_09_property_suite(matrices_for, report_for):
         ok = ok and permute(m, rho).verify().valid
     for n in range(1, 5):
         ok = ok and matrices_for(n, "naive") == matrices_for(n, "backtracking")
-    naive5, back5 = report_for(5, "naive"), report_for(5)
-    ok = ok and naive5.total_valid_matrices == back5.total_valid_matrices == 404
+    naive5, default5 = report_for(5, "naive"), report_for(5)
+    ok = ok and naive5.total_valid_matrices == default5.total_valid_matrices == 404
     ok = ok and [r.representative for r in naive5.classes] == [
-        r.representative for r in back5.classes
+        r.representative for r in default5.classes
     ]
     _check(
         9,

@@ -6,6 +6,7 @@ import pytest
 
 from quandles import dihedral, parse_matrix, trivial
 from quandles.cli import main
+from quandles.enumeration import STRATEGIES
 
 import tables
 
@@ -140,8 +141,8 @@ def test_enumerate_machine_golden(capsys):
 
 def test_enumerate_machine_stable_across_strategies(capsys):
     base = _run(capsys, ["enumerate", "4", "--machine"])[1]
-    assert _run(capsys, ["enumerate", "4", "--machine", "--strategy", "naive"])[1] == base
-    assert _run(capsys, ["enumerate", "4", "--machine"])[1] == base
+    for strategy in STRATEGIES:
+        assert _run(capsys, ["enumerate", "4", "--machine", "--strategy", strategy])[1] == base
     assert base.count("aut=") == 7
 
 

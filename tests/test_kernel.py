@@ -8,8 +8,14 @@ import pytest
 from quandles import _kernel, enumerate_classes
 
 
+STRATEGY_CODES = [_kernel.NAIVE, _kernel.BACKTRACKING, _kernel.CLOSURE]
+
+
 def _pure_scan(n, strategy, cap=10**9):
-    return _kernel._scan_pure(n, strategy, _kernel.candidate_columns0(n), cap)
+    cands = _kernel.candidate_columns0(n)
+    if strategy == _kernel.CLOSURE:
+        return _kernel._scan_closure_pure(n, cands, cap)
+    return _kernel._scan_pure(n, strategy, cands, cap)
 
 
 def test_candidate_columns_fix_position():
@@ -22,7 +28,7 @@ def test_candidate_columns_fix_position():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("strategy", [_kernel.NAIVE, _kernel.BACKTRACKING])
+@pytest.mark.parametrize("strategy", STRATEGY_CODES)
 def test_backends_agree_exactly(n, strategy, compiled):
     assert _kernel.scan(n, strategy) == _pure_scan(n, strategy)
 
@@ -34,10 +40,25 @@ def test_backends_agree_order5_backtracking(compiled):
 def test_backends_agree_on_caps(compiled):
     # identical partial output and placement count at the cap
     for cap in (1, 10, 137, 1000):
-        assert _kernel.scan(4, _kernel.NAIVE, cap=cap) == _pure_scan(4, _kernel.NAIVE, cap=cap)
-        assert _kernel.scan(4, _kernel.BACKTRACKING, cap=cap) == _pure_scan(
-            4, _kernel.BACKTRACKING, cap=cap
-        )
+        for strategy in STRATEGY_CODES:
+            assert _kernel.scan(4, strategy, cap=cap) == _pure_scan(4, strategy, cap=cap)
+
+
+@pytest.mark.parametrize("n, placements", [(5, 3648), (6, 235800)])
+def test_backends_agree_closure(n, placements, compiled):
+    # forced columns are free: only the branches count
+    expected = _pure_scan(n, _kernel.CLOSURE)
+    assert expected[1:] == (placements, False)
+    assert _kernel.scan(n, _kernel.CLOSURE) == expected
+
+
+def test_placement_counts_by_strategy(compiled):
+    # naive pays every candidate prefix, backtracking every partial placement
+    # it tries, closure only its branches
+    assert [_kernel.scan(n, _kernel.NAIVE)[1] for n in range(1, 5)] == [1, 2, 14, 1554]
+    backtracking = [_kernel.scan(n, _kernel.BACKTRACKING)[1] for n in range(1, 7)]
+    assert backtracking == [1, 2, 14, 378, 33336, 11512680]
+    assert [_kernel.scan(n, _kernel.CLOSURE)[1] for n in range(1, 5)] == [1, 2, 8, 114]
 
 
 def test_backends_agree_past_the_c_counter_range(compiled):
@@ -119,6 +140,8 @@ def test_compiled_scan_rejects_malformed_pools(compiled):
         compiled.scan(2, _kernel.BACKTRACKING, packed, 2, 100)
     with pytest.raises(ValueError):
         compiled.scan(2, _kernel.BACKTRACKING, packed[:1], 1, 100)
+    with pytest.raises(ValueError):
+        compiled.scan(2, 7, packed, 1, 100)  # unknown strategy code
 
 
 def test_scan_argument_validation():

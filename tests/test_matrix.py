@@ -177,3 +177,10 @@ def test_text_roundtrip():
     assert parse_matrix(m.to_text()) == m
     assert m.to_machine_line() == ",".join(str(x) for row in m.rows for x in row)
     assert QuandleMatrix.from_flat(m.flat(), 5) == m
+
+
+def test_from_flat_needs_exactly_n_squared_entries():
+    assert QuandleMatrix.from_flat([1, 1, 2, 2], 2) == trivial(2)
+    for flat in (b"\x01\x01\x01\x01\x02", [1, 2, 1, 2, 2, 2, 2, 2, 2], [1, 1, 2], []):
+        with pytest.raises(ValueError):
+            QuandleMatrix.from_flat(flat, 2)
