@@ -13,9 +13,6 @@ from __future__ import annotations
 import itertools
 import os
 
-NAIVE = 0
-BACKTRACKING = 1
-CLOSURE = 2
 MAX_ORDER = 10  # entries are single bytes and the scan state is fixed-size
 
 if os.environ.get("QUANDLES_PURE_PYTHON", "") not in ("", "0"):
@@ -44,97 +41,26 @@ def candidate_columns0(n: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def scan(n: int, strategy: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
+def scan(n: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
     """All standard-form quandle tables of order n, row-major 1-based bytes.
 
     Column j of a table is its right translation R_j (i -> i|>j); position
-    i draws from the lexicographic candidate list of columns fixing i.
-    NAIVE places columns left to right and checks each full candidate
-    whole; BACKTRACKING rejects a partial placement as soon as a fully
-    determined triple fails.  CLOSURE branches on the least unplaced
-    position and then forces columns by self-distributivity,
-    R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint, rejecting the branch when a
-    forced column contradicts a placed one.  All three emit the same tables
-    in the same order, lexicographic in the column-index tuple.  Each tried
-    candidate counts as one placement (forced columns are free); the scan
-    stops once the count exceeds `cap`, returning (partial output, count,
-    True).
+    i draws from the lexicographic candidate list of columns fixing i.  The
+    scan branches on the least unset position and then forces columns by
+    self-distributivity, R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint,
+    rejecting the branch when a forced column contradicts a set one.  Tables
+    come out lexicographic in the column-index tuple.  Each tried candidate
+    counts as one placement (forced columns are free); the scan stops once
+    the count exceeds `cap`, returning (partial output, count, True).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    if strategy not in (NAIVE, BACKTRACKING, CLOSURE):
-        raise ValueError(f"unknown strategy code {strategy}")
     cands = candidate_columns0(n)
     if _speedups is not None:
         packed = [b"".join(bytes(c) for c in pool) for pool in cands]
         # the C count is a long long; no scan gets near its limit, so clamping is exact
-        return _speedups.scan(n, strategy, packed, len(cands[0]), max(0, min(cap, 2**63 - 1)))
-    if strategy == CLOSURE:
-        return _scan_closure_pure(n, cands, cap)
-    return _scan_pure(n, strategy, cands, cap)
-
-
-def _scan_pure(n, strategy, cands, cap):
-    out: list[bytes] = []
-    cols: list[tuple[int, ...]] = [()] * n
-    rng = range(n)
-    compose_cache: dict[tuple, tuple] = {}
-
-    def composed(a, b):
-        key = (a, b)
-        got = compose_cache.get(key)
-        if got is None:
-            got = compose_cache[key] = tuple(a[x] for x in b)
-        return got
-
-    def partial_ok(d):
-        # pairs (j, k) whose columns j, k and cols[k][j] all complete at depth d
-        for k in range(d + 1):
-            ck = cols[k]
-            for j in range(d + 1):
-                t = ck[j]
-                m = k if k > j else j
-                if t > m:
-                    m = t
-                if m != d:
-                    continue
-                if composed(ck, cols[j]) != composed(cols[t], ck):
-                    return False
-        return True
-
-    def full_ok():
-        for k in rng:
-            ck = cols[k]
-            for j in rng:
-                if composed(ck, cols[j]) != composed(cols[ck[j]], ck):
-                    return False
-        return True
-
-    placements = 0
-    hit = False
-    check_partials = strategy == BACKTRACKING
-    last = n - 1
-
-    def walk(d):
-        nonlocal placements, hit
-        for col in cands[d]:
-            placements += 1
-            if placements > cap:
-                hit = True
-                return
-            cols[d] = col
-            if check_partials and not partial_ok(d):
-                continue
-            if d == last:
-                if check_partials or full_ok():
-                    out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
-            else:
-                walk(d + 1)
-                if hit:
-                    return
-
-    walk(0)
-    return out, placements, hit
+        return _speedups.scan(n, packed, len(cands[0]), max(0, min(cap, 2**63 - 1)))
+    return _scan_closure_pure(n, cands, cap)
 
 
 def _scan_closure_pure(n, cands, cap):

@@ -1,4 +1,4 @@
-/* Compiled kernels for quandles._kernel: the column scans and the relabelling orbit.
+/* Compiled kernels for quandles._kernel: the column scan and the relabelling orbit.
 
    Both must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
@@ -11,48 +11,6 @@
 #include <string.h>
 
 #define MAX_ORDER 10
-#define NAIVE 0
-#define BACKTRACKING 1
-#define CLOSURE 2
-
-/* pairs (j, k) whose columns j, k and col_at[k][j] all complete at depth d */
-static int
-partial_ok(const unsigned char **col_at, int d, int n)
-{
-    for (int k = 0; k <= d; k++) {
-        const unsigned char *ck = col_at[k];
-        for (int j = 0; j <= d; j++) {
-            int t = ck[j];
-            int m = k > j ? k : j;
-            if (t > m)
-                m = t;
-            if (m != d)
-                continue;
-            const unsigned char *cj = col_at[j];
-            const unsigned char *ct = col_at[t];
-            for (int i = 0; i < n; i++)
-                if (ck[cj[i]] != ct[ck[i]])
-                    return 0;
-        }
-    }
-    return 1;
-}
-
-static int
-full_ok(const unsigned char **col_at, int n)
-{
-    for (int k = 0; k < n; k++) {
-        const unsigned char *ck = col_at[k];
-        for (int j = 0; j < n; j++) {
-            const unsigned char *cj = col_at[j];
-            const unsigned char *ct = col_at[ck[j]];
-            for (int i = 0; i < n; i++)
-                if (ck[cj[i]] != ct[ck[i]])
-                    return 0;
-        }
-    }
-    return 1;
-}
 
 /* Append the table whose column c is col_at[c] to `out` as row-major 1-based bytes. */
 static int
@@ -70,7 +28,7 @@ append_table(PyObject *out, const unsigned char *const *col_at, int n)
     return err;
 }
 
-/* Search state of the closure strategy, on the stack of one scan call.
+/* Search state of the closure scan, on the stack of one scan call.
    col_at[t] is R_t (a pool entry or forced[t]) or NULL while unset; trail
    lists the set positions in the order they were set. */
 struct closure {
@@ -121,12 +79,55 @@ closure_propagate(struct closure *s, int start)
     return 1;
 }
 
-/* Mirror of quandles._kernel._scan_closure_pure: branch on the least unset
-   position, propagate, undo through the trail.  Each position is set at most
-   once along a path, so the trail and the frame stack hold at most n entries. */
+PyDoc_STRVAR(scan_doc,
+"scan(n, packed, count, cap)\n\n"
+"Mirror of quandles._kernel._scan_closure_pure on packed candidate columns.\n\n"
+"`packed[i]` holds the candidate columns for position i as count*n bytes of\n"
+"0-indexed values.  Returns (matrices, placements, hit_cap) with matrices\n"
+"as row-major 1-based bytes.");
+
+/* Branch on the least unset position, propagate, undo through the trail.
+   Each position is set at most once along a path, so the trail and the
+   frame stack hold at most n entries. */
 static PyObject *
-closure_scan(const unsigned char *const *pools, const int n, const int count, const long long cap)
+scan(PyObject *self, PyObject *args)
 {
+    int n_arg, count_arg;
+    long long cap_arg;
+    PyObject *packed;
+    const unsigned char *pools[MAX_ORDER];
+
+    if (!PyArg_ParseTuple(args, "iO!iL", &n_arg, &PyList_Type, &packed, &count_arg, &cap_arg))
+        return NULL;
+    /* copies whose address is never taken, so the hot loop keeps them in registers */
+    const int n = n_arg, count = count_arg;
+    const long long cap = cap_arg;
+    if (n < 1 || n > MAX_ORDER) {
+        PyErr_SetString(PyExc_ValueError, "order out of range");
+        return NULL;
+    }
+    if (PyList_GET_SIZE(packed) != n) {
+        PyErr_SetString(PyExc_ValueError, "need one candidate pool per position");
+        return NULL;
+    }
+    for (int i = 0; i < n; i++) {
+        PyObject *blob = PyList_GET_ITEM(packed, i);
+        if (!PyBytes_Check(blob)) {
+            PyErr_SetString(PyExc_TypeError, "candidate pools must be bytes");
+            return NULL;
+        }
+        if (PyBytes_GET_SIZE(blob) != (Py_ssize_t)count * n) {
+            PyErr_SetString(PyExc_ValueError, "candidate pool has wrong size");
+            return NULL;
+        }
+        pools[i] = (const unsigned char *)PyBytes_AS_STRING(blob);
+        for (Py_ssize_t k = 0; k < (Py_ssize_t)count * n; k++)
+            if (pools[i][k] >= n) {
+                PyErr_SetString(PyExc_ValueError, "candidate column entry outside 0..n-1");
+                return NULL;
+            }
+    }
+
     struct closure s;
     struct {
         int pos, next, mark;
@@ -171,98 +172,6 @@ closure_scan(const unsigned char *const *pools, const int n, const int count, co
         frame[top].pos = d;
         frame[top].next = 0;
         frame[top].mark = s.len;
-    }
-    return Py_BuildValue("(NLO)", out, placements, hit ? Py_True : Py_False);
-}
-
-PyDoc_STRVAR(scan_doc,
-"scan(n, strategy, packed, count, cap)\n\n"
-"Mirror of quandles._kernel._scan_pure (NAIVE, BACKTRACKING) and\n"
-"_scan_closure_pure (CLOSURE) on packed candidate columns.\n\n"
-"`packed[i]` holds the candidate columns for position i as count*n bytes of\n"
-"0-indexed values.  Returns (matrices, placements, hit_cap) with matrices\n"
-"as row-major 1-based bytes.");
-
-static PyObject *
-scan(PyObject *self, PyObject *args)
-{
-    int n_arg, strategy, count_arg;
-    long long cap_arg;
-    PyObject *packed;
-    const unsigned char *pools[MAX_ORDER];
-    const unsigned char *col_at[MAX_ORDER];
-    int idx[MAX_ORDER + 1];
-
-    if (!PyArg_ParseTuple(args, "iiO!iL", &n_arg, &strategy, &PyList_Type, &packed,
-                          &count_arg, &cap_arg))
-        return NULL;
-    /* copies whose address is never taken, so the hot loop keeps them in registers */
-    const int n = n_arg, count = count_arg;
-    const long long cap = cap_arg;
-    if (n < 1 || n > MAX_ORDER) {
-        PyErr_SetString(PyExc_ValueError, "order out of range");
-        return NULL;
-    }
-    if (strategy != NAIVE && strategy != BACKTRACKING && strategy != CLOSURE) {
-        PyErr_SetString(PyExc_ValueError, "unknown strategy code");
-        return NULL;
-    }
-    if (PyList_GET_SIZE(packed) != n) {
-        PyErr_SetString(PyExc_ValueError, "need one candidate pool per position");
-        return NULL;
-    }
-    for (int i = 0; i < n; i++) {
-        PyObject *blob = PyList_GET_ITEM(packed, i);
-        if (!PyBytes_Check(blob)) {
-            PyErr_SetString(PyExc_TypeError, "candidate pools must be bytes");
-            return NULL;
-        }
-        if (PyBytes_GET_SIZE(blob) != (Py_ssize_t)count * n) {
-            PyErr_SetString(PyExc_ValueError, "candidate pool has wrong size");
-            return NULL;
-        }
-        pools[i] = (const unsigned char *)PyBytes_AS_STRING(blob);
-        for (Py_ssize_t k = 0; k < (Py_ssize_t)count * n; k++)
-            if (pools[i][k] >= n) {
-                PyErr_SetString(PyExc_ValueError, "candidate column entry outside 0..n-1");
-                return NULL;
-            }
-    }
-
-    if (strategy == CLOSURE)
-        return closure_scan(pools, n, count, cap);
-
-    PyObject *out = PyList_New(0);
-    if (out == NULL)
-        return NULL;
-    long long placements = 0;
-    int hit = 0;
-    int backtracking = strategy == BACKTRACKING;
-    int depth = 0;
-    int last = n - 1;
-    idx[0] = 0;
-    while (depth >= 0) {
-        if (idx[depth] >= count) {
-            depth--;
-            continue;
-        }
-        int i = idx[depth]++;
-        if (++placements > cap) {
-            hit = 1;
-            break;
-        }
-        col_at[depth] = pools[depth] + (Py_ssize_t)i * n;
-        if (backtracking && !partial_ok(col_at, depth, n))
-            continue;
-        if (depth == last) {
-            if ((backtracking || full_ok(col_at, n)) && append_table(out, col_at, n) < 0) {
-                Py_DECREF(out);
-                return NULL;
-            }
-        }
-        else {
-            idx[++depth] = 0;
-        }
     }
     return Py_BuildValue("(NLO)", out, placements, hit ? Py_True : Py_False);
 }
@@ -374,10 +283,10 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
-    "quandles._speedups",
-    "Compiled scan and relabelling-orbit kernels; see quandles._kernel.",
-    -1,
-    methods,
+    .m_name = "quandles._speedups",
+    .m_doc = "Compiled scan and relabelling-orbit kernels; see quandles._kernel.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC

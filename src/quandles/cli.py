@@ -14,7 +14,6 @@ import sys
 from . import construct
 from ._kernel import backend
 from .enumeration import (
-    STRATEGIES,
     EnumerationOptions,
     EnumerationReport,
     ResourceLimitError,
@@ -156,7 +155,7 @@ def _print_classes_human(report: EnumerationReport) -> None:
     print(
         f"order {report.n}: {len(report.classes)} classes, "
         f"{report.total_valid_matrices} standard-form matrices "
-        f"({report.strategy}, {report.elapsed:.2f}s)"
+        f"({report.elapsed:.2f}s)"
     )
     for k, rec in enumerate(report.classes, start=1):
         print()
@@ -178,14 +177,14 @@ def _print_classes_machine(report: EnumerationReport) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    opts = EnumerationOptions(strategy=args.strategy, max_placements=args.cap)
+    opts = EnumerationOptions(max_placements=args.cap)
     if args.all:
         matrices = list(enumerate_all(args.n, opts))
         if args.machine:
             for m in matrices:
                 print(m.to_machine_line())
         else:
-            print(f"order {args.n}: {len(matrices)} standard-form matrices ({opts.strategy})")
+            print(f"order {args.n}: {len(matrices)} standard-form matrices")
             for m in matrices:
                 print()
                 print(m.to_text())
@@ -248,14 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="classify all quandles of one order")
     p.add_argument("n", type=int)
-    p.add_argument("--strategy", choices=STRATEGIES, default=EnumerationOptions().strategy)
     p.add_argument("--jobs", type=int, choices=(1,), default=1,
                    help="accepted for compatibility; the scan is serial")
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
     p.add_argument("--cap", type=int, default=EnumerationOptions().max_placements,
                    help="abort after this many column placements (tried candidates; "
-                   "columns the closure strategy forces are free)")
+                   "forced columns are free)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("backend", help="report which scan kernel is active")

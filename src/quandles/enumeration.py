@@ -4,14 +4,10 @@ Candidate tables are assembled column by column: position i draws from the
 (n-1)! columns that fix i, so every candidate already satisfies the diagonal
 and column conditions and only self-distributivity needs checking.  Column j
 is the right translation R_j, and self-distributivity reads
-R_{R_k(j)} = R_k R_j R_k^-1.  The `naive` strategy materializes all
-(n-1)!^n candidates and checks each one; `backtracking` rejects partial
-placements as soon as a fully determined triple fails; `closure` (the
-default) branches on the least unplaced column and forces every column the
-identity determines from the placed ones, so only branches count as
-placements.  All three emit the same tables in the same order (lexicographic
-in the column-index tuple), which keeps output files stable and makes the
-strategies cross-checkable.
+R_{R_k(j)} = R_k R_j R_k^-1.  The scan branches on the least unplaced
+column and forces every column the identity determines from the placed
+ones, so only branches count as placements.  Tables come out in
+lexicographic column-index order, which keeps output files stable.
 """
 
 from __future__ import annotations
@@ -24,13 +20,6 @@ from collections.abc import Iterator
 from . import _kernel
 from .matrix import QuandleMatrix
 from .symmetry import ClassRecord, identify_group, stabilizer_group
-
-STRATEGIES = ("naive", "backtracking", "closure")
-_STRATEGY_CODE = {
-    "naive": _kernel.NAIVE,
-    "backtracking": _kernel.BACKTRACKING,
-    "closure": _kernel.CLOSURE,
-}
 
 DEFAULT_MAX_PLACEMENTS = 10**9
 
@@ -50,12 +39,9 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationOptions:
-    strategy: str = "closure"
     max_placements: int = DEFAULT_MAX_PLACEMENTS
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.max_placements < 1:
             raise ValueError("max_placements must be positive")
 
@@ -72,7 +58,6 @@ class EnumerationReport:
     total_valid_matrices: int
     classes: tuple[ClassRecord, ...]
     elapsed: float
-    strategy: str
 
 
 def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
@@ -87,9 +72,7 @@ def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
 
 
 def _scan_all(n: int, opts: EnumerationOptions) -> tuple[list[bytes], int]:
-    flats, placements, hit = _kernel.scan(
-        n, _STRATEGY_CODE[opts.strategy], cap=opts.max_placements
-    )
+    flats, placements, hit = _kernel.scan(n, cap=opts.max_placements)
     if hit:
         raise ResourceLimitError(n, placements, opts.max_placements)
     return flats, placements
@@ -99,9 +82,7 @@ def enumerate_all(n: int, opts: EnumerationOptions | None = None) -> Iterator[Qu
     """Every standard-form quandle table of order n, exactly once.
 
     Raises ResourceLimitError before yielding anything when the scan blows
-    the placement budget: the naive strategy needs (n-1)!^n placements,
-    already past the default cap at n = 6; backtracking passes it at n = 7
-    and closure at n = 8.
+    the placement budget; under the default cap that happens first at n = 8.
     """
     opts = opts or EnumerationOptions()
     flats, _ = _scan_all(n, opts)
@@ -153,5 +134,4 @@ def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> Enumera
         total_valid_matrices=len(flats),
         classes=tuple(records),
         elapsed=time.perf_counter() - start,
-        strategy=opts.strategy,
     )

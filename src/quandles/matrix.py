@@ -65,7 +65,9 @@ class QuandleMatrix:
             if len(r) != n:
                 raise ValueError(f"not square: row of length {len(r)} in a {n}-row matrix")
             for x in r:
-                if not isinstance(x, int) or not 1 <= x <= n:
+                # bool is an int subclass but not an entry; exact ints skip both isinstance calls
+                odd_type = type(x) is not int and (isinstance(x, bool) or not isinstance(x, int))
+                if odd_type or not 1 <= x <= n:
                     raise ValueError(f"entry {x!r} outside 1..{n}")
         object.__setattr__(self, "rows", rows)
 

@@ -84,10 +84,10 @@ class Permutation:
         return Permutation(out)
 
     def __pow__(self, k: int) -> Permutation:
-        base = self if k >= 0 else self.inverse()
+        # self ** order() is the identity, and % is non-negative, so this covers k < 0 too
         result = Permutation.identity(self.degree)
-        for _ in range(abs(k)):
-            result = base.compose(result)
+        for _ in range(k % self.order()):
+            result = self.compose(result)
         return result
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -115,7 +115,7 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(1, *(len(c) for c in self.cycles()))
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))

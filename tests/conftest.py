@@ -10,7 +10,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import pytest
 from hypothesis import settings
 
-from quandles import EnumerationOptions, _kernel, enumerate_all, enumerate_classes
+from quandles import _kernel, enumerate_all, enumerate_classes
 
 # first example of a property test may trigger a cached full enumeration
 settings.register_profile("quandles", deadline=None)
@@ -22,26 +22,24 @@ _streams: dict = {}
 
 @pytest.fixture(scope="session")
 def report_for():
-    """Session-cached enumerate_classes(n, strategy), the library default strategy unless given."""
+    """Session-cached enumerate_classes(n)."""
 
-    def get(n, strategy=EnumerationOptions().strategy):
-        key = (n, strategy)
-        if key not in _reports:
-            _reports[key] = enumerate_classes(n, EnumerationOptions(strategy=strategy))
-        return _reports[key]
+    def get(n):
+        if n not in _reports:
+            _reports[n] = enumerate_classes(n)
+        return _reports[n]
 
     return get
 
 
 @pytest.fixture(scope="session")
 def matrices_for():
-    """Session-cached list(enumerate_all(n, strategy)), the library default strategy unless given."""
+    """Session-cached list(enumerate_all(n))."""
 
-    def get(n, strategy=EnumerationOptions().strategy):
-        key = (n, strategy)
-        if key not in _streams:
-            _streams[key] = list(enumerate_all(n, EnumerationOptions(strategy=strategy)))
-        return _streams[key]
+    def get(n):
+        if n not in _streams:
+            _streams[n] = list(enumerate_all(n))
+        return _streams[n]
 
     return get
 

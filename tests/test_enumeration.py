@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -44,19 +45,6 @@ def test_stream_counts_and_first_element(matrices_for):
         assert all(m.trace() == n * (n + 1) // 2 for m in stream)
 
 
-def test_strategies_emit_identical_streams(matrices_for):
-    for n in range(1, 5):
-        assert matrices_for(n, "naive") == matrices_for(n, "backtracking")
-
-
-def test_closure_stream_equals_backtracking(fastest_kernel):
-    # same tables, same order: every position before a branch is fixed below it
-    for n in range(1, 7):
-        closure, _, hit = _kernel.scan(n, _kernel.CLOSURE)
-        assert not hit
-        assert closure == _kernel.scan(n, _kernel.BACKTRACKING)[0]
-
-
 def test_class_counts(report_for):
     for n, expected in tables.EXPECTED_CLASS_COUNTS.items():
         assert len(report_for(n).classes) == expected
@@ -66,7 +54,6 @@ def test_report_invariants(report_for):
     for n in range(1, 6):
         report = report_for(n)
         assert report.n == n
-        assert report.strategy == "closure"
         assert report.elapsed >= 0
         assert sum(rec.np for rec in report.classes) == report.total_valid_matrices
         reps = [rec.representative for rec in report.classes]
@@ -79,17 +66,6 @@ def test_report_invariants(report_for):
             assert rec.connected == rec.representative.is_connected()
             if rec.latin:
                 assert rec.connected
-
-
-def test_naive_classes_match(report_for):
-    for n in (3, 4, 5):
-        naive = report_for(n, "naive")
-        back = report_for(n, "backtracking")
-        assert naive.total_valid_matrices == back.total_valid_matrices
-        assert [r.representative for r in naive.classes] == [r.representative for r in back.classes]
-        assert [(r.aut_order, r.np, r.latin, r.connected) for r in naive.classes] == [
-            (r.aut_order, r.np, r.latin, r.connected) for r in back.classes
-        ]
 
 
 def test_latin_classes_order5(report_for):
@@ -115,13 +91,15 @@ def test_resource_cap():
     with pytest.raises(ResourceLimitError) as exc:
         enumerate_classes(5, EnumerationOptions(max_placements=2000))
     assert exc.value.placements == 2001
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_all(4, EnumerationOptions(strategy="naive", max_placements=100)))
+    # order 4 needs 114 placements
+    with pytest.raises(ResourceLimitError) as exc:
+        list(enumerate_all(4, EnumerationOptions(max_placements=100)))
+    assert exc.value.placements == 101
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        EnumerationOptions(strategy="magic")
+    # the placement budget is the only setting
+    assert [f.name for f in dataclasses.fields(EnumerationOptions)] == ["max_placements"]
     with pytest.raises(ValueError):
         EnumerationOptions(max_placements=0)
     with pytest.raises(ValueError):
@@ -138,13 +116,25 @@ def test_order6_classification_pinned(fastest_kernel, capsys):
     assert hashlib.md5(stream).hexdigest() == "bb3b3f9fd60bfcb8b73c3c3f2846ff3f"
 
 
+@pytest.mark.parametrize(
+    "n, count, digest",
+    [(5, 404, "7838ea2aaf7f55428a1dfdeea783cb9f"), (6, 6658, "fe6307986ee4a53527b92e853221a485")],
+)
+def test_all_tables_stream_pinned_on_pure_python(n, count, digest, monkeypatch, capsys):
+    monkeypatch.setattr(_kernel, "_speedups", None)
+    assert cli.main(["enumerate", str(n), "--all", "--machine"]) == 0
+    stream = capsys.readouterr().out.encode()
+    assert stream.count(b"\n") == count
+    assert hashlib.md5(stream).hexdigest() == digest
+
+
 def _normalize_labels(stream: bytes) -> bytes:
     return re.sub(rb"(?m)^(aut=\d+):\S+", rb"\1:*", stream)
 
 
 def test_order7_classification_pinned(compiled, capsys):
     # pure Python takes minutes here, so this runs only on the compiled kernel
-    flats, placements, hit = _kernel.scan(7, _kernel.CLOSURE)
+    flats, placements, hit = _kernel.scan(7)
     assert (len(flats), placements, hit) == (152900, 25174800, False)
     report = enumerate_classes(7)
     assert len(report.classes) == 298

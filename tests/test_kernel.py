@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -5,17 +6,21 @@ import sys
 
 import pytest
 
-from quandles import _kernel, enumerate_classes
+from quandles import QuandleMatrix, _kernel, enumerate_classes
 
 
-STRATEGY_CODES = [_kernel.NAIVE, _kernel.BACKTRACKING, _kernel.CLOSURE]
+def _pure_scan(n, cap=10**9):
+    return _kernel._scan_closure_pure(n, _kernel.candidate_columns0(n), cap)
 
 
-def _pure_scan(n, strategy, cap=10**9):
-    cands = _kernel.candidate_columns0(n)
-    if strategy == _kernel.CLOSURE:
-        return _kernel._scan_closure_pure(n, cands, cap)
-    return _kernel._scan_pure(n, strategy, cands, cap)
+def _three_condition_reference(n):
+    """Every candidate table that passes QuandleMatrix.verify(), in candidate order."""
+    out = []
+    for cols in itertools.product(*_kernel.candidate_columns0(n)):
+        flat = bytes(cols[j][i] + 1 for i in range(n) for j in range(n))
+        if QuandleMatrix.from_flat(flat, n).verify().valid:
+            out.append(flat)
+    return out
 
 
 def test_candidate_columns_fix_position():
@@ -28,47 +33,39 @@ def test_candidate_columns_fix_position():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("strategy", STRATEGY_CODES)
-def test_backends_agree_exactly(n, strategy, compiled):
-    assert _kernel.scan(n, strategy) == _pure_scan(n, strategy)
+def test_scan_matches_three_condition_reference(n, fastest_kernel):
+    # the scan against the paper's definition; placements count branches only
+    reference = _three_condition_reference(n)
+    assert len(reference) == [1, 1, 5, 36][n - 1]
+    assert _pure_scan(n) == (reference, [1, 2, 8, 114][n - 1], False)
+    assert _kernel.scan(n)[0] == reference
 
 
-def test_backends_agree_order5_backtracking(compiled):
-    assert _kernel.scan(5, _kernel.BACKTRACKING) == _pure_scan(5, _kernel.BACKTRACKING)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_backends_agree_exactly(n, compiled):
+    assert _kernel.scan(n) == _pure_scan(n)
 
 
 def test_backends_agree_on_caps(compiled):
     # identical partial output and placement count at the cap
     for cap in (1, 10, 137, 1000):
-        for strategy in STRATEGY_CODES:
-            assert _kernel.scan(4, strategy, cap=cap) == _pure_scan(4, strategy, cap=cap)
+        assert _kernel.scan(4, cap=cap) == _pure_scan(4, cap=cap)
 
 
 @pytest.mark.parametrize("n, placements", [(5, 3648), (6, 235800)])
 def test_backends_agree_closure(n, placements, compiled):
     # forced columns are free: only the branches count
-    expected = _pure_scan(n, _kernel.CLOSURE)
+    expected = _pure_scan(n)
     assert expected[1:] == (placements, False)
-    assert _kernel.scan(n, _kernel.CLOSURE) == expected
-
-
-def test_placement_counts_by_strategy(compiled):
-    # naive pays every candidate prefix, backtracking every partial placement
-    # it tries, closure only its branches
-    assert [_kernel.scan(n, _kernel.NAIVE)[1] for n in range(1, 5)] == [1, 2, 14, 1554]
-    backtracking = [_kernel.scan(n, _kernel.BACKTRACKING)[1] for n in range(1, 7)]
-    assert backtracking == [1, 2, 14, 378, 33336, 11512680]
-    assert [_kernel.scan(n, _kernel.CLOSURE)[1] for n in range(1, 5)] == [1, 2, 8, 114]
+    assert _kernel.scan(n) == expected
 
 
 def test_backends_agree_past_the_c_counter_range(compiled):
     # the compiled kernel counts in a long long; a larger cap is clamped, not an error
-    expected = _pure_scan(3, _kernel.BACKTRACKING, cap=10**20)
+    expected = _pure_scan(3, cap=10**20)
     assert expected[2] is False
-    assert _kernel.scan(3, _kernel.BACKTRACKING, cap=10**20) == expected
-    assert _kernel.scan(3, _kernel.BACKTRACKING, cap=-(10**20)) == _pure_scan(
-        3, _kernel.BACKTRACKING, cap=-(10**20)
-    )
+    assert _kernel.scan(3, cap=10**20) == expected
+    assert _kernel.scan(3, cap=-(10**20)) == _pure_scan(3, cap=-(10**20))
 
 
 def _same_orbit(compiled, flat, n):
@@ -82,7 +79,7 @@ def _same_orbit(compiled, flat, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orbit_backends_agree(n, compiled):
-    flats, _, _ = _pure_scan(n, _kernel.BACKTRACKING)
+    flats, _, _ = _pure_scan(n)
     for flat in flats:
         _same_orbit(compiled, flat, n)
 
@@ -133,26 +130,22 @@ def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
 
 def test_compiled_scan_rejects_malformed_pools(compiled):
     packed = [bytes([0, 1]), bytes([0, 1])]
-    assert compiled.scan(2, _kernel.BACKTRACKING, packed, 1, 100)[0] == [b"\x01\x01\x02\x02"]
+    assert compiled.scan(2, packed, 1, 100)[0] == [b"\x01\x01\x02\x02"]
     with pytest.raises(ValueError):
-        compiled.scan(2, _kernel.BACKTRACKING, [bytes([0, 7]), bytes([0, 1])], 1, 100)
+        compiled.scan(2, [bytes([0, 7]), bytes([0, 1])], 1, 100)
     with pytest.raises(ValueError):
-        compiled.scan(2, _kernel.BACKTRACKING, packed, 2, 100)
+        compiled.scan(2, packed, 2, 100)
     with pytest.raises(ValueError):
-        compiled.scan(2, _kernel.BACKTRACKING, packed[:1], 1, 100)
-    with pytest.raises(ValueError):
-        compiled.scan(2, 7, packed, 1, 100)  # unknown strategy code
+        compiled.scan(2, packed[:1], 1, 100)
 
 
 def test_scan_argument_validation():
     with pytest.raises(ValueError):
-        _kernel.scan(0, _kernel.NAIVE)
+        _kernel.scan(0)
     with pytest.raises(ValueError):
-        _kernel.scan(11, _kernel.NAIVE)
-    with pytest.raises(ValueError):
-        _kernel.scan(3, 7)
+        _kernel.scan(11)
     with pytest.raises(TypeError):
-        _kernel.scan(3, _kernel.NAIVE, 99)  # the cap is keyword-only
+        _kernel.scan(3, 99)  # the cap is keyword-only
     with pytest.raises(ValueError):
         _kernel.canon_min(b"\x01\x01", 2)
 

@@ -53,6 +53,9 @@ def test_constructor_rejects_bad_shapes():
         QuandleMatrix([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         QuandleMatrix([])
+    # bool is an int subclass: True would pass as 1 and print as "True"
+    with pytest.raises(ValueError):
+        QuandleMatrix([[True, True], [2, 2]])
 
 
 def test_verify_valid():

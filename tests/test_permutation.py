@@ -50,6 +50,9 @@ def test_inverse_and_pow():
     assert rho ** 4 == Permutation.identity(4)
     assert rho ** -1 == rho.inverse()
     assert rho ** 2 == rho.compose(rho)
+    assert rho ** -3 == rho and rho ** 0 == Permutation.identity(4)
+    # the exponent is reduced modulo the order, not applied one compose at a time
+    assert rho ** (10**18) == rho ** 0 and rho ** -(10**18 + 1) == rho ** 3
 
 
 def test_cycle_type_and_order():
