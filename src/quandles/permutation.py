@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
+from operator import itemgetter
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -26,6 +27,13 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple that is a permutation by construction, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -35,7 +43,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
-        return cls(range(1, n + 1))
+        return cls._unchecked(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
@@ -75,13 +83,13 @@ class Permutation:
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
         img = self.images
-        return Permutation(img[x - 1] for x in other.images)
+        return Permutation._unchecked(tuple([img[x - 1] for x in other.images]))
 
     def inverse(self) -> Permutation:
         out = [0] * self.degree
         for i, v in enumerate(self.images):
             out[v - 1] = i + 1
-        return Permutation(out)
+        return Permutation._unchecked(tuple(out))
 
     def __pow__(self, k: int) -> Permutation:
         # self ** order() is the identity, and % is non-negative, so this covers k < 0 too
@@ -145,7 +153,7 @@ class Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All permutations of {1..n} in lexicographic order of image arrays."""
     for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield Permutation._unchecked(images)
 
 
 def orbit_partition(
@@ -177,7 +185,7 @@ def orbit_partition(
 class PermGroup:
     """A set of permutations of one degree, closed under composition and inverse."""
 
-    __slots__ = ("degree", "_elements", "_sorted")
+    __slots__ = ("degree", "_elements", "_sorted", "_cache")
 
     def __init__(self, degree: int, elements: Iterable[Permutation], *, _trusted: bool = False):
         elems = frozenset(elements)
@@ -196,9 +204,10 @@ class PermGroup:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_elements", elems)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
-        if name == "_sorted":
+        if name in ("_sorted", "_cache"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("PermGroup is immutable")
@@ -251,37 +260,80 @@ class PermGroup:
             self._sorted = tuple(sorted(self._elements))
         return self._sorted
 
+    def _invariants(self) -> tuple:
+        """(element-order histogram, strong generating set, center order), cached.
+
+        One pass over the image tuples takes each element's order from its
+        cycle lengths and keeps, for each pair (least moved point i, image
+        j of i), the least element with that pair.  An element whose least
+        moved point is i fixes 1..i-1, so these are the coset
+        representatives of the stabilizer chain G ⊇ G_1 ⊇ G_{1,2} ⊇ …, a
+        strong generating set (Sims 1970); every element is already at hand,
+        so no Schreier–Sims closure is needed.  The center is then the
+        elements that commute with those generators.
+        """
+        if self._cache is None:
+            n = self.degree
+            counts: Counter = Counter()
+            reps: dict[tuple[int, int], tuple[int, ...]] = {}
+            for g in self._elements:
+                p = g.images
+                seen = [False] * n
+                order = 1
+                key = None
+                for s in range(n):
+                    if seen[s]:
+                        continue
+                    length = 0
+                    x = s
+                    while not seen[x]:
+                        seen[x] = True
+                        x = p[x] - 1
+                        length += 1
+                    if length > 1:
+                        order = lcm(order, length)
+                        # the first nontrivial cycle starts at the least moved point
+                        if key is None:
+                            key = (s, p[s])
+                counts[order] += 1
+                if key is not None:
+                    r = reps.get(key)
+                    if r is None or p < r:
+                        reps[key] = p
+            strong = tuple(sorted(reps.values()))
+            # z commutes with g iff z∘g and g∘z have the same image tuple
+            checks = [(itemgetter(*[x - 1 for x in g]), ((0,) + g).__getitem__) for g in strong]
+            center = sum(
+                1
+                for z in self._elements
+                if all(zg(z.images) == tuple(map(g_of, z.images)) for zg, g_of in checks)
+            )
+            self._cache = (tuple(sorted(counts.items())), strong, center)
+        return self._cache
+
     def generators(self) -> tuple[Permutation, ...]:
-        """A deterministic generating sequence (greedy over sorted elements)."""
-        gens: list[Permutation] = []
-        span = {Permutation.identity(self.degree)}
-        for g in self.elements():
-            if g not in span:
-                gens.append(g)
-                span = set(PermGroup.generate(gens, self.degree)._elements)
-                if len(span) == len(self._elements):
-                    break
-        return tuple(gens)
+        """A strong generating set, least image tuple first.
+
+        For each point i and each image j != i of i under the elements that
+        fix 1..i-1, it holds the least such element sending i to j: the
+        coset representatives of the pointwise stabilizer chain, so
+        PermGroup.generate(generators()) is the group again.  Not minimal;
+        the identity group gives ().
+        """
+        return tuple(Permutation._unchecked(g) for g in self._invariants()[1])
 
     def is_abelian(self) -> bool:
-        gens = self.generators()
-        return all(
-            a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2)
-        )
+        return self.center_order() == self.order
 
     def center_order(self) -> int:
-        gens = self.generators()
-        return sum(
-            1 for z in self._elements if all(z.compose(g) == g.compose(z) for g in gens)
-        )
+        return self._invariants()[2]
 
     def element_order_histogram(self) -> tuple[tuple[int, int], ...]:
-        counts = Counter(g.order() for g in self._elements)
-        return tuple(sorted(counts.items()))
+        return self._invariants()[0]
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of {1..degree}, blocks sorted by least element."""
-        return orbit_partition(self.degree, (g.images for g in self.generators()))
+        return orbit_partition(self.degree, self._invariants()[1])
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

@@ -42,12 +42,12 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     if a.n != b.n:
         return None
     witness = _kernel.orbit(a.flat(), a.n)[0].get(b.flat())
-    return None if witness is None else Permutation(witness)
+    return None if witness is None else Permutation._unchecked(tuple(witness))
 
 
 def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
     """The group of the relabellings in a stabilizer list from _kernel.orbit."""
-    return PermGroup(n, (Permutation(w) for w in stabilizer), _trusted=True)
+    return PermGroup(n, (Permutation._unchecked(tuple(w)) for w in stabilizer), _trusted=True)
 
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
@@ -126,7 +126,7 @@ class GroupId:
 
 
 def _fingerprint(g: PermGroup) -> tuple:
-    # abelian is the same fact as a full center; this builds generators() once
+    # abelian is the same fact as a full center
     center = g.center_order()
     return (g.order, g.element_order_histogram(), center == g.order, center)
 

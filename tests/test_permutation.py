@@ -15,6 +15,23 @@ def test_rejects_non_bijection():
         Permutation([1, 1, 3])
     with pytest.raises(ValueError):
         Permutation([1, 2, 4])
+    # compose, inverse and identity skip the check; the public constructors keep it
+    for bad in [(2, 2), (0, 1), (1, 3), (3, 1, 1)]:
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    with pytest.raises(ValueError):
+        Permutation.from_cycles(3, [(1, 4)])
+
+
+def test_unchecked_results_equal_checked_construction():
+    perms = list(all_permutations(4))
+    for p in perms:
+        assert type(p.images) is tuple and Permutation(p.images) == p
+        assert Permutation(p.inverse().images) == p.inverse()
+        for q in perms[::5]:
+            r = p.compose(q)
+            assert type(r.images) is tuple and Permutation(r.images) == r
+    assert Permutation(Permutation.identity(5).images) == Permutation.identity(5)
 
 
 def test_parse_cycle_convention():
@@ -93,6 +110,15 @@ def test_group_invariants():
     assert z4.is_abelian()
     assert z4.center_order() == 4
     assert z4.element_order_histogram() == ((1, 1), (2, 1), (4, 2))
+
+
+def test_group_generators_are_a_strong_generating_set():
+    # per (least moved point, its image): the least element, all sorted by image tuple
+    s3 = PermGroup.generate([Permutation.parse("(1 2)", 3), Permutation.parse("(1 2 3)", 3)])
+    assert [g.images for g in s3.generators()] == [(1, 3, 2), (2, 1, 3), (3, 1, 2)]
+    z4 = PermGroup.generate([Permutation.parse("(1 2 3 4)", 4)])
+    assert [g.images for g in z4.generators()] == [(2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)]
+    assert PermGroup.generate([], degree=3).generators() == ()
 
 
 def test_group_orbits():

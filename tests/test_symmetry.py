@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,9 @@ from quandles import (
     permute,
     trivial,
 )
-from quandles.permutation import PermGroup, Permutation, all_permutations
-from quandles.symmetry import _label_table
+from quandles import _kernel
+from quandles.permutation import PermGroup, Permutation, all_permutations, orbit_partition
+from quandles.symmetry import _label_table, stabilizer_group
 
 import tables
 
@@ -159,6 +161,33 @@ def test_fingerprint_abelian_flag_matches_group(report_for):
     s3 = PermGroup.generate([Permutation.parse("(1 2)", 3), Permutation.parse("(1 2 3)", 3)])
     s3 = identify_group(s3)
     assert (s3.label, s3.abelian, s3.center_order) == ("S3", False, 1)
+
+
+def _assert_invariants_by_brute_force(g: PermGroup):
+    elems = g.elements()
+    assert all(Permutation(p.images) == p for p in elems)
+    center = [z for z in elems if all(z.compose(h) == h.compose(z) for h in elems)]
+    assert g.center_order() == len(center)
+    assert g.is_abelian() == (len(center) == len(elems))
+    assert dict(g.element_order_histogram()) == Counter(p.order() for p in elems)
+    assert PermGroup.generate(g.generators(), g.degree).elements() == elems
+    assert g.orbits() == orbit_partition(g.degree, (p.images for p in elems))
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_group_invariants_match_brute_force(backend, report_for, request, monkeypatch):
+    # every Aut group of orders <= 6 (73 of them at order 6), built from each
+    # backend's stabilizer list
+    if backend == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    assert len(report_for(6).classes) == 73
+    for n in range(1, 7):
+        for rec in report_for(n).classes:
+            aut = stabilizer_group(n, _kernel.orbit(rec.representative.flat(), n)[1])
+            assert aut.order == rec.aut_order
+            _assert_invariants_by_brute_force(aut)
 
 
 def test_label_table_fingerprints_are_distinct():
