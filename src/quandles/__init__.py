@@ -19,6 +19,7 @@ from .enumeration import (
     EnumerationOptions,
     EnumerationReport,
     ResourceLimitError,
+    all_tables,
     column_candidates,
     enumerate_all,
     enumerate_classes,
@@ -41,7 +42,6 @@ from .symmetry import (
     determinant,
     identify_group,
     np_count,
-    np_count_explicit,
     permute,
 )
 
@@ -61,6 +61,7 @@ __all__ = [
     "VerificationReport",
     "alexander",
     "all_permutations",
+    "all_tables",
     "are_isomorphic",
     "automorphism_group",
     "backend",
@@ -76,7 +77,6 @@ __all__ = [
     "identify_group",
     "make",
     "np_count",
-    "np_count_explicit",
     "parse_matrix",
     "permute",
     "standardize",

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
+from math import factorial
 
 MAX_ORDER = 10  # entries are single bytes and the scan state is fixed-size
 
@@ -41,29 +43,82 @@ def candidate_columns0(n: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
+def cycle_type(perm) -> tuple[int, ...]:
+    """Cycle lengths of a 0-indexed permutation, sorted descending."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def cycle_type_ranks(n: int) -> bytes:
+    """Per pool index k: the rank of the cycle type of every pool's k-th column.
+
+    Column k of pool i restricted to the points other than i is, up to the
+    order-preserving renaming of those points, the k-th permutation of
+    range(n - 1) in lexicographic order, so one list serves every pool.
+    Ranks order the types as tuples (cycle lengths sorted descending).
+    """
+    types = [cycle_type(p) for p in itertools.permutations(range(n - 1))]
+    rank = {t: r for r, t in enumerate(sorted(set(types)))}
+    return bytes(rank[t] for t in types)
+
+
 def scan(n: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
-    """All standard-form quandle tables of order n, row-major 1-based bytes.
+    """The standard-form quandle tables of order n in normal form, row-major 1-based bytes.
 
     Column j of a table is its right translation R_j (i -> i|>j); position
-    i draws from the lexicographic candidate list of columns fixing i.  The
-    scan branches on the least unset position and then forces columns by
-    self-distributivity, R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint,
-    rejecting the branch when a forced column contradicts a set one.  Tables
-    come out lexicographic in the column-index tuple.  Each tried candidate
-    counts as one placement (forced columns are free); the scan stops once
-    the count exceeds `cap`, returning (partial output, count, True).
+    i draws from the lexicographic candidate list of columns fixing i.  A
+    table is in normal form when R_0 has the greatest cycle type in the
+    table and is the first column of pool 0 with that type; every class has
+    such a member, since all columns of one orbit share a type.  So position
+    0 tries only the first column of each cycle type, in pool order, and
+    every later position skips the candidates of greater type than R_0.
+    The scan branches on the least unset position and then forces columns
+    by self-distributivity, R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint,
+    rejecting the branch when a forced column contradicts a set one; forced
+    columns are conjugates of set ones, so they never exceed R_0's type.
+    Tables come out lexicographic in the column-index tuple.  Each tried
+    candidate counts as one placement (skipped and forced columns are free);
+    the scan stops once the count exceeds `cap`, returning (partial output,
+    count, True).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     cands = candidate_columns0(n)
+    ranks = cycle_type_ranks(n)
     if _speedups is not None:
         packed = [b"".join(bytes(c) for c in pool) for pool in cands]
         # the C count is a long long; no scan gets near its limit, so clamping is exact
-        return _speedups.scan(n, packed, len(cands[0]), max(0, min(cap, 2**63 - 1)))
-    return _scan_closure_pure(n, cands, cap)
+        return _speedups.scan(n, packed, ranks, max(0, min(cap, 2**63 - 1)))
+    return _scan_closure_pure(n, cands, ranks, cap)
 
 
-def _scan_closure_pure(n, cands, cap):
+def normal_forms_in_class(flat: bytes, n: int, aut_order: int) -> int:
+    """How many tables in scan's normal form share the class of `flat`, itself one.
+
+    A relabelling rho maps the table into normal form exactly when it sends
+    some x whose R_x has the greatest type t to 0 and conjugates R_x onto
+    R_0's column; for each such x that is a coset of the centralizer of R_0
+    in the stabilizer of 0, of order c(t) = prod k^m_k m_k! over t less one
+    fixed point.  Each image is reached |Aut| times.
+    """
+    types = [cycle_type([flat[i * n + j] - 1 for i in range(n)]) for j in range(n)]
+    centralizer = 1
+    for length, mult in Counter(types[0][:-1]).items():
+        centralizer *= length**mult * factorial(mult)
+    return types.count(types[0]) * centralizer // aut_order
+
+
+def _scan_closure_pure(n, cands, ranks, cap):
     out: list[bytes] = []
     cols: list[tuple[int, ...] | None] = [None] * n  # cols[t] is R_t once placed or forced
     trail: list[int] = []  # positions in the order they were set
@@ -97,11 +152,11 @@ def _scan_closure_pure(n, cands, cap):
     placements = 0
     hit = False
 
-    def walk():
+    def walk(pools):
         nonlocal placements, hit
         d = cols.index(None)
         mark = len(trail)
-        for col in cands[d]:
+        for col in pools[d]:
             placements += 1
             if placements > cap:
                 hit = True
@@ -112,13 +167,21 @@ def _scan_closure_pure(n, cands, cap):
                 if len(trail) == n:
                     out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
                 else:
-                    walk()
+                    walk(pools)
                     if hit:
                         return
             while len(trail) > mark:
                 cols[trail.pop()] = None
 
-    walk()
+    tried = set()
+    for k, r0 in enumerate(ranks):
+        if r0 in tried:
+            continue
+        tried.add(r0)
+        # R_0 is the first column of its type; the rest draw from the columns of no greater type
+        walk([[cands[0][k]]] + [[c for c, r in zip(pool, ranks) if r <= r0] for pool in cands[1:]])
+        if hit:
+            break
     return out, placements, hit
 
 

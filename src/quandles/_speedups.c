@@ -8,6 +8,7 @@
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <string.h>
 
 #define MAX_ORDER 10
@@ -80,32 +81,46 @@ closure_propagate(struct closure *s, int start)
 }
 
 PyDoc_STRVAR(scan_doc,
-"scan(n, packed, count, cap)\n\n"
+"scan(n, packed, ranks, cap)\n\n"
 "Mirror of quandles._kernel._scan_closure_pure on packed candidate columns.\n\n"
-"`packed[i]` holds the candidate columns for position i as count*n bytes of\n"
-"0-indexed values.  Returns (matrices, placements, hit_cap) with matrices\n"
-"as row-major 1-based bytes.");
+"`packed[i]` holds the candidate columns for position i as len(ranks)*n\n"
+"bytes of 0-indexed values; `ranks[k]` is the cycle-type rank of the k-th\n"
+"column of every pool.  Position 0 tries only the first column of each\n"
+"rank; the other positions skip columns of greater rank than R_0, without\n"
+"counting them as placements.  Returns (matrices, placements, hit_cap) with\n"
+"matrices as row-major 1-based bytes.");
 
 /* Branch on the least unset position, propagate, undo through the trail.
    Each position is set at most once along a path, so the trail and the
-   frame stack hold at most n entries. */
+   frame stack hold at most n entries.  Frame 0 sets position 0 and walks
+   the pool indices; deeper frames walk `eligible`, the indices whose rank
+   does not exceed that of the current R_0. */
 static PyObject *
 scan(PyObject *self, PyObject *args)
 {
-    int n_arg, count_arg;
+    int n_arg;
     long long cap_arg;
     PyObject *packed;
+    const char *ranks_arg;
+    Py_ssize_t count_arg;
     const unsigned char *pools[MAX_ORDER];
 
-    if (!PyArg_ParseTuple(args, "iO!iL", &n_arg, &PyList_Type, &packed, &count_arg, &cap_arg))
+    if (!PyArg_ParseTuple(args, "iO!y#L", &n_arg, &PyList_Type, &packed, &ranks_arg, &count_arg,
+                          &cap_arg))
         return NULL;
     /* copies whose address is never taken, so the hot loop keeps them in registers */
-    const int n = n_arg, count = count_arg;
+    const int n = n_arg;
     const long long cap = cap_arg;
+    const unsigned char *const ranks = (const unsigned char *)ranks_arg;
     if (n < 1 || n > MAX_ORDER) {
         PyErr_SetString(PyExc_ValueError, "order out of range");
         return NULL;
     }
+    if (count_arg > INT_MAX / MAX_ORDER) {
+        PyErr_SetString(PyExc_ValueError, "too many candidate columns");
+        return NULL;
+    }
+    const int count = (int)count_arg;
     if (PyList_GET_SIZE(packed) != n) {
         PyErr_SetString(PyExc_ValueError, "need one candidate pool per position");
         return NULL;
@@ -132,11 +147,17 @@ scan(PyObject *self, PyObject *args)
     struct {
         int pos, next, mark;
     } frame[MAX_ORDER];
+    unsigned char tried[256] = {0}; /* ranks already used for R_0 */
     memset(&s, 0, sizeof s);
     s.n = n;
+    int *eligible = PyMem_New(int, count + 1);
     PyObject *out = PyList_New(0);
-    if (out == NULL)
-        return NULL;
+    if (eligible == NULL || out == NULL) {
+        PyMem_Free(eligible);
+        Py_XDECREF(out);
+        return PyErr_NoMemory();
+    }
+    int n_eligible = 0;
     long long placements = 0;
     int hit = 0;
     int top = 0;
@@ -145,11 +166,25 @@ scan(PyObject *self, PyObject *args)
         const int pos = frame[top].pos, mark = frame[top].mark;
         while (s.len > mark)
             s.col_at[s.trail[--s.len]] = NULL;
-        if (frame[top].next >= count) {
-            top--;
-            continue;
+        int i;
+        if (top == 0) {
+            while (frame[0].next < count && tried[ranks[frame[0].next]])
+                frame[0].next++;
+            if (frame[0].next >= count)
+                break;
+            i = frame[0].next++;
+            tried[ranks[i]] = 1;
+            n_eligible = 0;
+            for (int k = 0; k < count; k++)
+                if (ranks[k] <= ranks[i])
+                    eligible[n_eligible++] = k;
+        } else {
+            if (frame[top].next >= n_eligible) {
+                top--;
+                continue;
+            }
+            i = eligible[frame[top].next++];
         }
-        const int i = frame[top].next++;
         if (++placements > cap) {
             hit = 1;
             break;
@@ -160,6 +195,7 @@ scan(PyObject *self, PyObject *args)
             continue;
         if (s.len == n) {
             if (append_table(out, s.col_at, n) < 0) {
+                PyMem_Free(eligible);
                 Py_DECREF(out);
                 return NULL;
             }
@@ -173,6 +209,7 @@ scan(PyObject *self, PyObject *args)
         frame[top].next = 0;
         frame[top].mark = s.len;
     }
+    PyMem_Free(eligible);
     return Py_BuildValue("(NLO)", out, placements, hit ? Py_True : Py_False);
 }
 

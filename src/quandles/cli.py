@@ -17,7 +17,7 @@ from .enumeration import (
     EnumerationOptions,
     EnumerationReport,
     ResourceLimitError,
-    enumerate_all,
+    all_tables,
     enumerate_classes,
 )
 from .matrix import QuandleMatrix, QuandleParseError, VerificationReport, parse_matrix
@@ -176,18 +176,30 @@ def _print_classes_machine(report: EnumerationReport) -> None:
         )
 
 
+# entry bytes 1..10 as one character each; ':' stands for 10 until the text is built
+_DIGITS = bytes.maketrans(bytes(range(1, 11)), b"123456789:")
+
+
+def _machine_lines(flats: list[bytes], n: int) -> str:
+    """to_machine_line of each row-major 1-based table, one per line, built in bulk."""
+    nn = n * n
+    text = bytearray(2 * nn * len(flats))
+    text[0::2] = b"".join(flats).translate(_DIGITS)
+    text[1::2] = (b"," * (nn - 1) + b"\n") * len(flats)
+    return text.replace(b":", b"10").decode()
+
+
 def _cmd_enumerate(args) -> int:
     opts = EnumerationOptions(max_placements=args.cap)
     if args.all:
-        matrices = list(enumerate_all(args.n, opts))
+        flats = all_tables(args.n, opts)
         if args.machine:
-            for m in matrices:
-                print(m.to_machine_line())
+            sys.stdout.write(_machine_lines(flats, args.n))
         else:
-            print(f"order {args.n}: {len(matrices)} standard-form matrices")
-            for m in matrices:
+            print(f"order {args.n}: {len(flats)} standard-form matrices")
+            for flat in flats:
                 print()
-                print(m.to_text())
+                print(QuandleMatrix.from_flat(flat, args.n).to_text())
         return EXIT_OK
     report = enumerate_classes(args.n, opts)
     if args.machine:
@@ -252,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
     p.add_argument("--cap", type=int, default=EnumerationOptions().max_placements,
-                   help="abort after this many column placements (tried candidates; "
-                   "forced columns are free)")
+                   help="budget: abort (exit 3) before the scan's column placements "
+                   "(tried candidates; forced and skipped columns are free) plus n! "
+                   "relabellings per scanned table exceed it")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("backend", help="report which scan kernel is active")

@@ -1,4 +1,4 @@
-"""Exhaustive generation of standard-form quandle tables of a given order.
+"""Exhaustive classification of standard-form quandle tables of a given order.
 
 Candidate tables are assembled column by column: position i draws from the
 (n-1)! columns that fix i, so every candidate already satisfies the diagonal
@@ -6,16 +6,22 @@ and column conditions and only self-distributivity needs checking.  Column j
 is the right translation R_j, and self-distributivity reads
 R_{R_k(j)} = R_k R_j R_k^-1.  The scan branches on the least unplaced
 column and forces every column the identity determines from the placed
-ones, so only branches count as placements.  Tables come out in
-lexicographic column-index order, which keeps output files stable.
+ones, so only branches count as placements.
+
+Relabelling conjugates the columns, so the scan keeps only tables in a
+normal form: R_0 has the greatest cycle type in the table and is the first
+column of its type in pool 0.  Every class has such a member, usually a
+few.  One relabelling-orbit walk per class then yields the class's least
+table (its representative), np and Aut, and the union of the orbits is
+every standard-form table.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import factorial
-from collections.abc import Iterator
 
 from . import _kernel
 from .matrix import QuandleMatrix
@@ -25,15 +31,26 @@ DEFAULT_MAX_PLACEMENTS = 10**9
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a scan exceeds its placement budget instead of hanging."""
+    """Raised when an enumeration would exceed its budget instead of hanging.
 
-    def __init__(self, n: int, placements: int, cap: int):
-        super().__init__(
-            f"enumeration of order {n} aborted after {placements} column "
-            f"placements (cap {cap})"
-        )
+    The budget is charged one unit per column placement of the scan and n!
+    per table the scan keeps, the relabellings that deduplicating it may
+    walk.  `relabellings` is 0 when the scan itself ran past the cap.
+    """
+
+    def __init__(self, n: int, placements: int, cap: int, relabellings: int = 0):
+        self.charged = placements + relabellings
+        if relabellings:
+            detail = (
+                f": {placements} column placements and {relabellings} relabellings "
+                f"make {self.charged}"
+            )
+        else:
+            detail = f" after {placements} column placements"
+        super().__init__(f"enumeration of order {n} aborted{detail} (cap {cap})")
         self.n = n
         self.placements = placements
+        self.relabellings = relabellings
         self.cap = cap
 
 
@@ -51,7 +68,8 @@ class EnumerationReport:
     """Classification of one order: class list plus run bookkeeping.
 
     Classes are sorted by their canonical representative (row-major lex);
-    np summed over classes equals total_valid_matrices.
+    total_valid_matrices is np summed over classes, the number of
+    standard-form tables.
     """
 
     n: int
@@ -71,53 +89,97 @@ def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
     return [tuple(v + 1 for v in col) for col in pools[i - 1]]
 
 
-def _scan_all(n: int, opts: EnumerationOptions) -> tuple[list[bytes], int]:
+def _scan_all(n: int, opts: EnumerationOptions) -> list[bytes]:
+    """The normal-form tables, once the budget is known to cover their orbit walks."""
     flats, placements, hit = _kernel.scan(n, cap=opts.max_placements)
     if hit:
         raise ResourceLimitError(n, placements, opts.max_placements)
-    return flats, placements
+    relabellings = len(flats) * factorial(n)
+    if placements + relabellings > opts.max_placements:
+        raise ResourceLimitError(n, placements, opts.max_placements, relabellings)
+    return flats
+
+
+def _class_orbits(
+    n: int, opts: EnumerationOptions
+) -> Iterator[tuple[dict[bytes, bytes], list[bytes]]]:
+    """One _kernel.orbit(flat, n) result per class, for some normal-form flat of the class.
+
+    Checks the scan against the theory as it goes: each orbit must hold
+    exactly the predicted number of scanned tables, and np * |Aut| == n!.
+    """
+    flats = _scan_all(n, opts)
+    unclaimed = set(flats)
+    if len(unclaimed) != len(flats):
+        raise RuntimeError(f"the order-{n} scan emitted a table twice")
+    for flat in flats:
+        if flat not in unclaimed:
+            continue
+        images, stabilizer = _kernel.orbit(flat, n)
+        members = unclaimed.intersection(images)
+        expected = _kernel.normal_forms_in_class(flat, n, len(stabilizer))
+        if len(members) != expected or len(images) * len(stabilizer) != factorial(n):
+            raise RuntimeError(
+                f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: "
+                f"orbit size {len(images)}, |Aut| = {len(stabilizer)}, "
+                f"{len(members)} of its {expected} normal forms in the scan"
+            )
+        unclaimed -= members
+        yield images, stabilizer
+
+
+def _transpose(blob: bytes, n: int) -> bytes:
+    """The concatenation of n x n tables `blob` with each table transposed."""
+    nn = n * n
+    out = bytearray(len(blob))
+    for i in range(n):
+        for j in range(n):
+            out[i * n + j :: nn] = blob[j * n + i :: nn]
+    return bytes(out)
+
+
+def all_tables(n: int, opts: EnumerationOptions | None = None) -> list[bytes]:
+    """Every standard-form quandle table of order n, as row-major 1-based bytes.
+
+    The union of the class orbits, sorted by column-major bytes: the
+    lexicographic order of the column tuples.  Raises ResourceLimitError
+    before any orbit walk when the budget does not cover the scan and n!
+    relabellings per scanned table; under the default cap that happens
+    first at n = 9.
+    """
+    opts = opts or EnumerationOptions()
+    nn = n * n
+    by_column = _transpose(b"".join(b"".join(images) for images, _ in _class_orbits(n, opts)), n)
+    ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
+    rows = _transpose(b"".join(ordered), n)
+    return [rows[k : k + nn] for k in range(0, len(rows), nn)]
 
 
 def enumerate_all(n: int, opts: EnumerationOptions | None = None) -> Iterator[QuandleMatrix]:
-    """Every standard-form quandle table of order n, exactly once.
+    """Every standard-form quandle table of order n, exactly once, in all_tables order.
 
-    Raises ResourceLimitError before yielding anything when the scan blows
-    the placement budget; under the default cap that happens first at n = 8.
+    Raises ResourceLimitError before yielding anything when the budget is
+    too small; under the default cap that happens first at n = 9.
     """
-    opts = opts or EnumerationOptions()
-    flats, _ = _scan_all(n, opts)
-    for flat in flats:
+    for flat in all_tables(n, opts):
         yield QuandleMatrix.from_flat(flat, n)
 
 
 def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> EnumerationReport:
-    """Group the full table stream into isomorphism classes.
+    """Classify the standard-form tables of order n up to isomorphism.
 
-    The tables are visited in sorted byte order, and each one not yet
-    claimed by a class makes a single orbit pass: it is the least member of
-    its class, hence the canonical representative; the orbit's size is np
-    and its stabilizer is Aut.  Each class keeps its representative,
-    automorphism group data, np, and the latin and connectivity flags.
+    Each class makes a single orbit pass from one of its normal-form tables:
+    the least image is the canonical representative, the orbit's size is np
+    and the stabilizer's order is |Aut| (its group is conjugate to the
+    representative's, so the label is the same).  Each class keeps its
+    representative, automorphism group data, np, and the latin and
+    connectivity flags.  Raises ResourceLimitError as all_tables does.
     """
     opts = opts or EnumerationOptions()
     start = time.perf_counter()
-    flats, _ = _scan_all(n, opts)
-    unclaimed = set(flats)
     records = []
-    for flat in sorted(unclaimed):
-        if flat not in unclaimed:
-            continue
-        images, stabilizer = _kernel.orbit(flat, n)
-        rep = QuandleMatrix.from_flat(flat, n)
-        # orbits are disjoint, so every member of this one must still be unclaimed
-        missing = [image for image in images if image not in unclaimed]
-        if missing or len(images) * len(stabilizer) != factorial(n):
-            raise RuntimeError(
-                f"orbit-stabilizer mismatch for {rep!r}: orbit size {len(images)}, "
-                f"|Aut| = {len(stabilizer)}, {len(missing)} orbit members missing "
-                f"from the scan"
-            )
-        unclaimed.difference_update(images)
+    for images, stabilizer in _class_orbits(n, opts):
+        rep = QuandleMatrix.from_flat(min(images), n)
         aut = stabilizer_group(n, stabilizer)
         records.append(
             ClassRecord(
@@ -129,9 +191,10 @@ def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> Enumera
                 connected=rep.is_connected(),
             )
         )
+    records.sort(key=lambda rec: rec.representative.rows)
     return EnumerationReport(
         n=n,
-        total_valid_matrices=len(flats),
+        total_valid_matrices=sum(rec.np for rec in records),
         classes=tuple(records),
         elapsed=time.perf_counter() - start,
     )

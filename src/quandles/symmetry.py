@@ -8,7 +8,6 @@ image of the other under some ρ.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -57,15 +56,7 @@ def automorphism_group(m: QuandleMatrix) -> PermGroup:
 
 def np_count(m: QuandleMatrix) -> int:
     """Number of standard-form tables in m's class: n! / |Aut| (orbit-stabilizer)."""
-    return factorial(m.n) // automorphism_group(m).order
-
-
-def np_count_explicit(m: QuandleMatrix) -> int:
-    """Same count by materializing the whole relabelling orbit (debug path)."""
-    seen = set()
-    for images in itertools.permutations(range(1, m.n + 1)):
-        seen.add(permute(m, Permutation(images)).rows)
-    return len(seen)
+    return factorial(m.n) // len(_kernel.orbit(m.flat(), m.n)[1])
 
 
 def canonical_form(m: QuandleMatrix) -> QuandleMatrix:

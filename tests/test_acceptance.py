@@ -18,13 +18,13 @@ from quandles import (
     determinant,
     dihedral,
     np_count,
-    np_count_explicit,
     permute,
     trivial,
 )
 from quandles.permutation import Permutation
 
 import tables
+from reference import np_count_explicit
 
 
 def _report(num: int, ok: bool, desc: str) -> None:

@@ -1,10 +1,11 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from quandles import dihedral, parse_matrix, trivial
+from quandles import _kernel, dihedral, parse_matrix, trivial
 from quandles.cli import main
 
 import tables
@@ -157,10 +158,23 @@ def test_enumerate_cap_exit_code(capsys):
     code, _, err = _run(capsys, ["enumerate", "5", "--cap", "100"])
     assert code == 3
     assert "aborted" in err
-    # one budget: the serial scan stops at the first placement past the cap
+    assert "after 101 column placements (cap 100)" in err
+    # one budget: 208 placements keep 33 tables, each charged 5! relabellings
     code, _, err = _run(capsys, ["enumerate", "5", "--cap", "2000"])
     assert code == 3
-    assert "after 2001 column placements (cap 2000)" in err
+    assert "208 column placements and 3960 relabellings make 4168 (cap 2000)" in err
+    assert _run(capsys, ["enumerate", "5", "--machine", "--cap", "4168"])[0] == 0
+    assert _run(capsys, ["enumerate", "5", "--all", "--cap", "4167"])[0] == 3
+
+
+def test_enumerate_order9_exits_on_the_budget_before_any_orbit_walk(compiled, capsys, monkeypatch):
+    # 56,465,079 placements fit the default cap, but 218,025 tables x 9! relabellings do not
+    monkeypatch.setattr(_kernel, "orbit", None)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["enumerate", "9"])
+    assert (code, out) == (3, "")
+    assert "56465079 column placements and 79116912000 relabellings make 79173377079" in err
+    assert time.perf_counter() - start < 60
 
 
 def test_enumerate_cap_beyond_64_bits(fastest_kernel, capsys):

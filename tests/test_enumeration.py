@@ -88,14 +88,17 @@ def test_every_table_row_appears_as_class(report_for):
         assert len(seen) == len(by_rep)
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
+    # order 5: 208 placements keep 33 tables, charged 5! relabellings each
+    enumerate_classes(5, EnumerationOptions(max_placements=4168))
+    monkeypatch.setattr(_kernel, "orbit", None)  # the budget is checked before any orbit walk
     with pytest.raises(ResourceLimitError) as exc:
-        enumerate_classes(5, EnumerationOptions(max_placements=2000))
-    assert exc.value.placements == 2001
-    # order 4 needs 114 placements
+        enumerate_classes(5, EnumerationOptions(max_placements=4167))
+    assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (208, 3960, 4168)
+    # order 4 needs 24 placements; a smaller cap cuts the scan itself
     with pytest.raises(ResourceLimitError) as exc:
-        list(enumerate_all(4, EnumerationOptions(max_placements=100)))
-    assert exc.value.placements == 101
+        list(enumerate_all(4, EnumerationOptions(max_placements=20)))
+    assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (21, 0, 21)
 
 
 def test_options_validation():
@@ -134,9 +137,9 @@ def _normalize_labels(stream: bytes) -> bytes:
 
 
 def test_order7_classification_pinned(compiled, capsys):
-    # pure Python takes minutes here, so this runs only on the compiled kernel
+    # pure Python takes seconds here, so this runs only on the compiled kernel
     flats, placements, hit = _kernel.scan(7)
-    assert (len(flats), placements, hit) == (152900, 25174800, False)
+    assert (len(flats), placements, hit) == (1405, 48116, False)
     report = enumerate_classes(7)
     assert len(report.classes) == 298
     assert report.total_valid_matrices == 152900
@@ -153,19 +156,47 @@ def test_order7_classification_pinned(compiled, capsys):
         b"unidentified": 220, b"Z3xZ2": 40, b"S3xZ2": 13, b"D8": 11, b"Z2xZ2": 6,
         b"S4": 3, b"Z5": 2, b"Z4": 1, b"S3": 1, b"A4": 1,
     }
+    # every table, from the class orbits: the stream the exhaustive scan used to emit
+    assert cli.main(["enumerate", "7", "--all", "--machine"]) == 0
+    stream = capsys.readouterr().out.encode()
+    assert stream.count(b"\n") == 152900
+    assert hashlib.md5(stream).hexdigest() == "d1130964dc410313596cacbf2e860eeb"
+
+
+def test_order8_classification_pinned(compiled, capsys):
+    # order 8 fits the default budget: 1,345,916 placements + 14,584 x 8! relabellings.
+    # The md5s match the exhaustive scan of all 5,225,916 tables that the
+    # normal-form scan replaced.
+    flats, placements, hit = _kernel.scan(8)
+    assert (len(flats), placements, hit) == (14584, 1345916, False)
+    assert cli.main(["enumerate", "8", "--machine"]) == 0
+    stream = capsys.readouterr().out.encode()
+    assert stream.count(b"aut=") == 1581
+    assert sum(map(int, re.findall(rb"np=(\d+)", stream))) == 5225916
+    assert (stream.count(b"connected=1"), stream.count(b"latin=1")) == (3, 2)
+    assert hashlib.md5(_normalize_labels(stream)).hexdigest() == "72bd7742a5d36c2168ad94f163a29964"
+    assert hashlib.md5(stream).hexdigest() == "d9b3ced0c92c6289e91870a86389711d"
 
 
 def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
-    flats, placements = enumeration._scan_all(4, EnumerationOptions())
-    np_of = {}
-    for rec in enumerate_classes(4).classes:
-        for image in _kernel.orbit(rec.representative.flat(), 4)[0]:
-            np_of[image] = rec.np
-    # a class of one table leaves no trace when dropped; every other drop shows
-    dropped = [k for k, flat in enumerate(flats) if np_of[flat] > 1]
-    assert len(dropped) == 35
+    flats = enumeration._scan_all(5, EnumerationOptions())
+    assert len(flats) == 33
+    kept_in_class = Counter()
+    class_of = {}
+    for k, rec in enumerate(enumerate_classes(5).classes):
+        for image in _kernel.orbit(rec.representative.flat(), 5)[0]:
+            class_of[image] = k
+    kept_in_class.update(class_of[flat] for flat in flats)
+    # a class with one normal form leaves no trace when it is dropped; every other drop shows
+    dropped = [k for k, flat in enumerate(flats) if kept_in_class[class_of[flat]] > 1]
+    assert len(dropped) == 18
     for k in dropped:
         partial = flats[:k] + flats[k + 1 :]
-        monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: (partial, placements))
+        monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: partial)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
-            enumerate_classes(4)
+            enumerate_classes(5)
+    # and a table the scan should not have kept shows too
+    extra = flats + [next(image for image in class_of if image not in flats)]
+    monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: extra)
+    with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
+        enumerate_classes(5)

@@ -6,21 +6,36 @@ import sys
 
 import pytest
 
-from quandles import QuandleMatrix, _kernel, enumerate_classes
+from quandles import Permutation, QuandleMatrix, _kernel, all_tables, enumerate_classes
 
 
 def _pure_scan(n, cap=10**9):
-    return _kernel._scan_closure_pure(n, _kernel.candidate_columns0(n), cap)
+    return _kernel._scan_closure_pure(
+        n, _kernel.candidate_columns0(n), _kernel.cycle_type_ranks(n), cap
+    )
+
+
+def _in_normal_form(cols):
+    """R_0 has the greatest cycle type of the table and is the first such column of pool 0."""
+    types = [Permutation(x + 1 for x in col).cycle_type() for col in cols]
+    first = next(
+        col for col in _kernel.candidate_columns0(len(cols))[0]
+        if Permutation(x + 1 for x in col).cycle_type() == types[0]
+    )
+    return types[0] == max(types) and cols[0] == first
 
 
 def _three_condition_reference(n):
-    """Every candidate table that passes QuandleMatrix.verify(), in candidate order."""
-    out = []
+    """Every candidate table that passes QuandleMatrix.verify(), in candidate order,
+    and the normal-form ones among them."""
+    valid, normal = [], []
     for cols in itertools.product(*_kernel.candidate_columns0(n)):
         flat = bytes(cols[j][i] + 1 for i in range(n) for j in range(n))
         if QuandleMatrix.from_flat(flat, n).verify().valid:
-            out.append(flat)
-    return out
+            valid.append(flat)
+            if _in_normal_form(cols):
+                normal.append(flat)
+    return valid, normal
 
 
 def test_candidate_columns_fix_position():
@@ -32,13 +47,30 @@ def test_candidate_columns_fix_position():
         assert pool == sorted(pool)
 
 
+def test_cycle_type_ranks():
+    # types of the permutations of range(3): (1,1,1) < (2,1) < (3)
+    assert _kernel.cycle_type_ranks(4) == bytes([0, 1, 1, 2, 2, 1])
+    assert _kernel.cycle_type_ranks(1) == b"\x00"
+    for n in range(1, 7):
+        pools = _kernel.candidate_columns0(n)
+        ranks = _kernel.cycle_type_ranks(n)
+        types = sorted({_kernel.cycle_type(col) for col in pools[0]})
+        assert len(types) == len(set(ranks))  # p(n - 1) types
+        for pool in pools:
+            assert [types.index(_kernel.cycle_type(col)) for col in pool] == list(ranks)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_scan_matches_three_condition_reference(n, fastest_kernel):
-    # the scan against the paper's definition; placements count branches only
-    reference = _three_condition_reference(n)
-    assert len(reference) == [1, 1, 5, 36][n - 1]
-    assert _pure_scan(n) == (reference, [1, 2, 8, 114][n - 1], False)
-    assert _kernel.scan(n)[0] == reference
+    # the scan against the paper's definition, kept in normal form; placements
+    # count branches only
+    valid, normal = _three_condition_reference(n)
+    assert len(valid) == [1, 1, 5, 36][n - 1]
+    assert len(normal) == [1, 1, 3, 7][n - 1]
+    assert _pure_scan(n) == (normal, [1, 2, 6, 24][n - 1], False)
+    assert _kernel.scan(n)[0] == normal
+    # the class orbits of the normal forms give back every valid table, in candidate order
+    assert all_tables(n) == valid
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -47,16 +79,20 @@ def test_backends_agree_exactly(n, compiled):
 
 
 def test_backends_agree_on_caps(compiled):
-    # identical partial output and placement count at the cap
-    for cap in (1, 10, 137, 1000):
-        assert _kernel.scan(4, cap=cap) == _pure_scan(4, cap=cap)
+    # identical partial output and placement count where the cap cuts the scan
+    for cap in (1, 10, 137, 1000, 2500):
+        expected = _pure_scan(6, cap=cap)
+        assert expected[1:] == (cap + 1, True)
+        assert _kernel.scan(6, cap=cap) == expected
+    assert 0 < len(_pure_scan(6, cap=1000)[0]) < 181
 
 
-@pytest.mark.parametrize("n, placements", [(5, 3648), (6, 235800)])
-def test_backends_agree_closure(n, placements, compiled):
-    # forced columns are free: only the branches count
+@pytest.mark.parametrize("n, tables, placements", [(5, 33, 208), (6, 181, 2577), (7, 1405, 48116)])
+def test_backends_agree_closure(n, tables, placements, fastest_kernel):
+    # forced and skipped columns are free: only the branches count; the pure
+    # counts are pinned even where the compiled kernel does not build
     expected = _pure_scan(n)
-    assert expected[1:] == (placements, False)
+    assert (len(expected[0]),) + expected[1:] == (tables, placements, False)
     assert _kernel.scan(n) == expected
 
 
@@ -79,8 +115,7 @@ def _same_orbit(compiled, flat, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orbit_backends_agree(n, compiled):
-    flats, _, _ = _pure_scan(n)
-    for flat in flats:
+    for flat in all_tables(n):
         _same_orbit(compiled, flat, n)
 
 
@@ -130,13 +165,15 @@ def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
 
 def test_compiled_scan_rejects_malformed_pools(compiled):
     packed = [bytes([0, 1]), bytes([0, 1])]
-    assert compiled.scan(2, packed, 1, 100)[0] == [b"\x01\x01\x02\x02"]
+    assert compiled.scan(2, packed, b"\x00", 100)[0] == [b"\x01\x01\x02\x02"]
     with pytest.raises(ValueError):
-        compiled.scan(2, [bytes([0, 7]), bytes([0, 1])], 1, 100)
+        compiled.scan(2, [bytes([0, 7]), bytes([0, 1])], b"\x00", 100)
     with pytest.raises(ValueError):
-        compiled.scan(2, packed, 2, 100)
+        compiled.scan(2, packed, b"\x00\x00", 100)  # more ranks than pool columns
     with pytest.raises(ValueError):
-        compiled.scan(2, packed[:1], 1, 100)
+        compiled.scan(2, packed[:1], b"\x00", 100)
+    with pytest.raises(TypeError):
+        compiled.scan(2, packed, [0], 100)  # ranks must be bytes
 
 
 def test_scan_argument_validation():
