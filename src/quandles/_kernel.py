@@ -34,13 +34,14 @@ def has_speedups() -> bool:
     return _speedups is not None
 
 
-def candidate_columns0(n: int) -> list[list[tuple[int, ...]]]:
-    """Per position i (0-based): the 0-indexed columns fixing i, lexicographic."""
-    out = []
-    for i in range(n):
-        rest = [v for v in range(n) if v != i]
-        out.append([perm[:i] + (i,) + perm[i:] for perm in itertools.permutations(rest)])
-    return out
+def lift(perm, i: int) -> tuple[int, ...]:
+    """The column fixing i that sends the k-th point other than i to the perm[k]-th.
+
+    Lifting keeps the lexicographic order of permutations and adds a fixed point to each.
+    """
+    col = [v + (v >= i) for v in perm]
+    col.insert(i, i)
+    return tuple(col)
 
 
 def cycle_type(perm) -> tuple[int, ...]:
@@ -60,15 +61,15 @@ def cycle_type(perm) -> tuple[int, ...]:
 
 
 def cycle_type_ranks(n: int) -> bytes:
-    """Per pool index k: the rank of the cycle type of every pool's k-th column.
+    """The cycle-type rank of every permutation of range(n - 1), in lexicographic order.
 
-    Column k of pool i restricted to the points other than i is, up to the
-    order-preserving renaming of those points, the k-th permutation of
-    range(n - 1) in lexicographic order, so one list serves every pool.
-    Ranks order the types as tuples (cycle lengths sorted descending).
+    Its k-th byte is also the rank of every position's k-th candidate
+    column, since lifting adds one fixed point to every type.  Ranks order
+    the types as tuples (cycle lengths sorted descending).
     """
-    types = [cycle_type(p) for p in itertools.permutations(range(n - 1))]
-    rank = {t: r for r, t in enumerate(sorted(set(types)))}
+    shared: dict = {}  # one tuple per type, not one per permutation
+    types = [shared.setdefault(t, t) for t in map(cycle_type, itertools.permutations(range(n - 1)))]
+    rank = {t: r for r, t in enumerate(sorted(shared))}
     return bytes(rank[t] for t in types)
 
 
@@ -76,11 +77,11 @@ def scan(n: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
     """The standard-form quandle tables of order n in normal form, row-major 1-based bytes.
 
     Column j of a table is its right translation R_j (i -> i|>j); position
-    i draws from the lexicographic candidate list of columns fixing i.  A
+    i draws from the lifts of the permutations of range(n - 1), in order.  A
     table is in normal form when R_0 has the greatest cycle type in the
-    table and is the first column of pool 0 with that type; every class has
+    table and is position 0's first candidate of that type; every class has
     such a member, since all columns of one orbit share a type.  So position
-    0 tries only the first column of each cycle type, in pool order, and
+    0 tries only the first column of each cycle type, in candidate order, and
     every later position skips the candidates of greater type than R_0.
     The scan branches on the least unset position and then forces columns
     by self-distributivity, R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint,
@@ -93,13 +94,11 @@ def scan(n: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    cands = candidate_columns0(n)
     ranks = cycle_type_ranks(n)
     if _speedups is not None:
-        packed = [b"".join(bytes(c) for c in pool) for pool in cands]
         # the C count is a long long; no scan gets near its limit, so clamping is exact
-        return _speedups.scan(n, packed, ranks, max(0, min(cap, 2**63 - 1)))
-    return _scan_closure_pure(n, cands, ranks, cap)
+        return _speedups.scan(n, ranks, max(0, min(cap, 2**63 - 1)))
+    return _scan_closure_pure(n, ranks, cap)
 
 
 def normal_forms_in_class(flat: bytes, n: int, aut_order: int) -> int:
@@ -118,7 +117,7 @@ def normal_forms_in_class(flat: bytes, n: int, aut_order: int) -> int:
     return types.count(types[0]) * centralizer // aut_order
 
 
-def _scan_closure_pure(n, cands, ranks, cap):
+def _scan_closure_pure(n, ranks, cap):
     out: list[bytes] = []
     cols: list[tuple[int, ...] | None] = [None] * n  # cols[t] is R_t once placed or forced
     trail: list[int] = []  # positions in the order they were set
@@ -152,34 +151,34 @@ def _scan_closure_pure(n, cands, ranks, cap):
     placements = 0
     hit = False
 
-    def walk(pools):
+    def walk(choices, base):  # deeper positions draw from base
         nonlocal placements, hit
         d = cols.index(None)
         mark = len(trail)
-        for col in pools[d]:
+        for perm in choices:
             placements += 1
             if placements > cap:
                 hit = True
                 return
-            cols[d] = col
+            cols[d] = lift(perm, d)
             trail.append(d)
             if propagate(mark):
                 if len(trail) == n:
                     out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
                 else:
-                    walk(pools)
+                    walk(base, base)
                     if hit:
                         return
             while len(trail) > mark:
                 cols[trail.pop()] = None
 
     tried = set()
-    for k, r0 in enumerate(ranks):
+    for first, r0 in zip(itertools.permutations(range(n - 1)), ranks):
         if r0 in tried:
             continue
         tried.add(r0)
         # R_0 is the first column of its type; the rest draw from the columns of no greater type
-        walk([[cands[0][k]]] + [[c for c, r in zip(pool, ranks) if r <= r0] for pool in cands[1:]])
+        walk([first], [p for p, r in zip(itertools.permutations(range(n - 1)), ranks) if r <= r0])
         if hit:
             break
     return out, placements, hit

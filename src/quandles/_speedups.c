@@ -8,7 +8,6 @@
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 #include <string.h>
 
 #define MAX_ORDER 10
@@ -30,7 +29,7 @@ append_table(PyObject *out, const unsigned char *const *col_at, int n)
 }
 
 /* Search state of the closure scan, on the stack of one scan call.
-   col_at[t] is R_t (a pool entry or forced[t]) or NULL while unset; trail
+   col_at[t] is R_t (a lifted candidate or forced[t]) or NULL while unset; trail
    lists the set positions in the order they were set. */
 struct closure {
     int n;
@@ -80,33 +79,52 @@ closure_propagate(struct closure *s, int start)
     return 1;
 }
 
+/* Advance p to the next permutation in lexicographic order; 0 after the last. */
+static int
+next_permutation(int *p, int n)
+{
+    int i = n - 2;
+    while (i >= 0 && p[i] >= p[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    int j = n - 1;
+    while (p[j] <= p[i])
+        j--;
+    int tmp = p[i];
+    p[i] = p[j];
+    p[j] = tmp;
+    for (int k = i + 1, l = n - 1; k < l; k++, l--) {
+        tmp = p[k];
+        p[k] = p[l];
+        p[l] = tmp;
+    }
+    return 1;
+}
+
 PyDoc_STRVAR(scan_doc,
-"scan(n, packed, ranks, cap)\n\n"
-"Mirror of quandles._kernel._scan_closure_pure on packed candidate columns.\n\n"
-"`packed[i]` holds the candidate columns for position i as len(ranks)*n\n"
-"bytes of 0-indexed values; `ranks[k]` is the cycle-type rank of the k-th\n"
-"column of every pool.  Position 0 tries only the first column of each\n"
-"rank; the other positions skip columns of greater rank than R_0, without\n"
-"counting them as placements.  Returns (matrices, placements, hit_cap) with\n"
-"matrices as row-major 1-based bytes.");
+"scan(n, ranks, cap)\n\n"
+"Mirror of quandles._kernel._scan_closure_pure.\n\n"
+"`ranks[k]` is the cycle-type rank of the k-th permutation of range(n - 1)\n"
+"in lexicographic order; every position's k-th candidate column is its lift,\n"
+"made once, before the scan.  Position 0 tries only the first column of each\n"
+"rank; the other positions skip, for free, columns of greater rank than R_0.\n"
+"Returns (matrices, placements, hit_cap), matrices as row-major 1-based bytes.");
 
 /* Branch on the least unset position, propagate, undo through the trail.
    Each position is set at most once along a path, so the trail and the
    frame stack hold at most n entries.  Frame 0 sets position 0 and walks
-   the pool indices; deeper frames walk `eligible`, the indices whose rank
-   does not exceed that of the current R_0. */
+   the candidate indices; deeper frames walk `eligible`, the indices whose
+   rank does not exceed that of the current R_0. */
 static PyObject *
 scan(PyObject *self, PyObject *args)
 {
     int n_arg;
     long long cap_arg;
-    PyObject *packed;
     const char *ranks_arg;
     Py_ssize_t count_arg;
-    const unsigned char *pools[MAX_ORDER];
 
-    if (!PyArg_ParseTuple(args, "iO!y#L", &n_arg, &PyList_Type, &packed, &ranks_arg, &count_arg,
-                          &cap_arg))
+    if (!PyArg_ParseTuple(args, "iy#L", &n_arg, &ranks_arg, &count_arg, &cap_arg))
         return NULL;
     /* copies whose address is never taken, so the hot loop keeps them in registers */
     const int n = n_arg;
@@ -116,31 +134,35 @@ scan(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "order out of range");
         return NULL;
     }
-    if (count_arg > INT_MAX / MAX_ORDER) {
-        PyErr_SetString(PyExc_ValueError, "too many candidate columns");
+    int count = 1; /* (n - 1)!, at most 9! */
+    for (int k = 2; k < n; k++)
+        count *= k;
+    if (count_arg != count) {
+        PyErr_SetString(PyExc_ValueError, "need one rank per permutation of range(n - 1)");
         return NULL;
     }
-    const int count = (int)count_arg;
-    if (PyList_GET_SIZE(packed) != n) {
-        PyErr_SetString(PyExc_ValueError, "need one candidate pool per position");
-        return NULL;
+
+    /* lifted[(i * count + k) * n ...] is position i's k-th candidate column */
+    unsigned char *lifted = PyMem_New(unsigned char, (size_t)n * count * n);
+    int *eligible = PyMem_New(int, count);
+    PyObject *out = PyList_New(0);
+    if (lifted == NULL || eligible == NULL || out == NULL) {
+        PyMem_Free(lifted);
+        PyMem_Free(eligible);
+        Py_XDECREF(out);
+        return PyErr_NoMemory();
     }
+    unsigned char *col = lifted;
     for (int i = 0; i < n; i++) {
-        PyObject *blob = PyList_GET_ITEM(packed, i);
-        if (!PyBytes_Check(blob)) {
-            PyErr_SetString(PyExc_TypeError, "candidate pools must be bytes");
-            return NULL;
-        }
-        if (PyBytes_GET_SIZE(blob) != (Py_ssize_t)count * n) {
-            PyErr_SetString(PyExc_ValueError, "candidate pool has wrong size");
-            return NULL;
-        }
-        pools[i] = (const unsigned char *)PyBytes_AS_STRING(blob);
-        for (Py_ssize_t k = 0; k < (Py_ssize_t)count * n; k++)
-            if (pools[i][k] >= n) {
-                PyErr_SetString(PyExc_ValueError, "candidate column entry outside 0..n-1");
-                return NULL;
-            }
+        int perm[MAX_ORDER];
+        for (int y = 0; y < n - 1; y++)
+            perm[y] = y;
+        do {
+            col[i] = (unsigned char)i;
+            for (int y = 0; y < n - 1; y++)
+                col[y + (y >= i)] = (unsigned char)(perm[y] + (perm[y] >= i));
+            col += n;
+        } while (next_permutation(perm, n - 1));
     }
 
     struct closure s;
@@ -150,13 +172,6 @@ scan(PyObject *self, PyObject *args)
     unsigned char tried[256] = {0}; /* ranks already used for R_0 */
     memset(&s, 0, sizeof s);
     s.n = n;
-    int *eligible = PyMem_New(int, count + 1);
-    PyObject *out = PyList_New(0);
-    if (eligible == NULL || out == NULL) {
-        PyMem_Free(eligible);
-        Py_XDECREF(out);
-        return PyErr_NoMemory();
-    }
     int n_eligible = 0;
     long long placements = 0;
     int hit = 0;
@@ -189,15 +204,14 @@ scan(PyObject *self, PyObject *args)
             hit = 1;
             break;
         }
-        s.col_at[pos] = pools[pos] + (Py_ssize_t)i * n;
+        s.col_at[pos] = lifted + ((Py_ssize_t)pos * count + i) * n;
         s.trail[s.len++] = pos;
         if (!closure_propagate(&s, mark))
             continue;
         if (s.len == n) {
             if (append_table(out, s.col_at, n) < 0) {
-                PyMem_Free(eligible);
-                Py_DECREF(out);
-                return NULL;
+                Py_CLEAR(out);
+                break;
             }
             continue;
         }
@@ -209,31 +223,10 @@ scan(PyObject *self, PyObject *args)
         frame[top].next = 0;
         frame[top].mark = s.len;
     }
+    PyMem_Free(lifted);
     PyMem_Free(eligible);
+    /* with out NULL (a failed append) this returns NULL and keeps the error */
     return Py_BuildValue("(NLO)", out, placements, hit ? Py_True : Py_False);
-}
-
-/* Advance p to the next permutation in lexicographic order; 0 after the last. */
-static int
-next_permutation(int *p, int n)
-{
-    int i = n - 2;
-    while (i >= 0 && p[i] >= p[i + 1])
-        i--;
-    if (i < 0)
-        return 0;
-    int j = n - 1;
-    while (p[j] <= p[i])
-        j--;
-    int tmp = p[i];
-    p[i] = p[j];
-    p[j] = tmp;
-    for (int k = i + 1, l = n - 1; k < l; k++, l--) {
-        tmp = p[k];
-        p[k] = p[l];
-        p[l] = tmp;
-    }
-    return 1;
 }
 
 PyDoc_STRVAR(orbit_doc,
@@ -255,11 +248,11 @@ orbit(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "y*i", &view, &n))
         return NULL;
     const unsigned char *src = (const unsigned char *)view.buf;
-    int nn = n * n;
     if (n < 1 || n > MAX_ORDER) {
         PyErr_SetString(PyExc_ValueError, "order out of range");
         goto fail;
     }
+    const int nn = n * n;
     if (view.len != nn) {
         PyErr_SetString(PyExc_ValueError, "flat length does not match order");
         goto fail;

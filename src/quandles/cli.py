@@ -209,6 +209,12 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quandle",
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; the scan is serial")
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
-    p.add_argument("--cap", type=int, default=EnumerationOptions().max_placements,
+    p.add_argument("--cap", type=_positive_int, default=EnumerationOptions().max_placements,
                    help="budget: abort (exit 3) before the scan's column placements "
                    "(tried candidates; forced and skipped columns are free) plus n! "
                    "relabellings per scanned table exceed it")

@@ -10,7 +10,7 @@ ones, so only branches count as placements.
 
 Relabelling conjugates the columns, so the scan keeps only tables in a
 normal form: R_0 has the greatest cycle type in the table and is the first
-column of its type in pool 0.  Every class has such a member, usually a
+column of its type at position 0.  Every class has such a member, usually a
 few.  One relabelling-orbit walk per class then yields the class's least
 table (its representative), np and Aut, and the union of the orbits is
 every standard-form table.
@@ -18,6 +18,7 @@ every standard-form table.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -85,8 +86,8 @@ def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
     """
     if not 1 <= i <= n:
         raise IndexError(f"position {i} outside 1..{n}")
-    pools = _kernel.candidate_columns0(n)
-    return [tuple(v + 1 for v in col) for col in pools[i - 1]]
+    base = itertools.permutations(range(n - 1))
+    return [tuple(v + 1 for v in _kernel.lift(perm, i - 1)) for perm in base]
 
 
 def _scan_all(n: int, opts: EnumerationOptions) -> list[bytes]:

@@ -177,6 +177,37 @@ def test_enumerate_order9_exits_on_the_budget_before_any_orbit_walk(compiled, ca
     assert time.perf_counter() - start < 60
 
 
+_PEAK_RSS_SCRIPT = """
+import importlib.util, resource, sys
+from quandles import _kernel, cli
+_kernel._speedups = None
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location("quandles._speedups", sys.argv[1])
+    _kernel._speedups = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(_kernel._speedups)
+code = cli.main(sys.argv[2:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_enumerate_order10_cap_bounds_set_up_memory(kernel, request):
+    # the budget covers set-up: before its first placement the scan holds only the
+    # ranks and, on the compiled kernel, one buffer of n * n! lifted column entries
+    path = request.getfixturevalue("compiled").__file__ if kernel == "c" else ""
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, path, "enumerate", "10", "--cap", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, max_rss_kib = map(int, proc.stdout.split())
+    assert code == 3
+    assert "after 2 column placements (cap 1)" in proc.stderr
+    assert max_rss_kib < 150 * 1024
+
+
 def test_enumerate_cap_beyond_64_bits(fastest_kernel, capsys):
     code, out, _ = _run(capsys, ["enumerate", "3", "--machine", "--cap", str(10**20)])
     assert code == 0
@@ -208,6 +239,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "4", "--strategy", "closure"])  # one scan, no strategies
     assert exc.value.code == 2
+    for cap in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "3", "--cap", cap])
+        assert exc.value.code == 2
 
 
 def test_backend_subcommand(capsys):

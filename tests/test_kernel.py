@@ -6,21 +6,25 @@ import sys
 
 import pytest
 
-from quandles import Permutation, QuandleMatrix, _kernel, all_tables, enumerate_classes
+from quandles import (
+    Permutation,
+    QuandleMatrix,
+    _kernel,
+    all_tables,
+    column_candidates,
+    enumerate_classes,
+)
 
 
 def _pure_scan(n, cap=10**9):
-    return _kernel._scan_closure_pure(
-        n, _kernel.candidate_columns0(n), _kernel.cycle_type_ranks(n), cap
-    )
+    return _kernel._scan_closure_pure(n, _kernel.cycle_type_ranks(n), cap)
 
 
 def _in_normal_form(cols):
-    """R_0 has the greatest cycle type of the table and is the first such column of pool 0."""
-    types = [Permutation(x + 1 for x in col).cycle_type() for col in cols]
+    """R_0 has the table's greatest cycle type and is position 0's first candidate of that type."""
+    types = [Permutation(col).cycle_type() for col in cols]
     first = next(
-        col for col in _kernel.candidate_columns0(len(cols))[0]
-        if Permutation(x + 1 for x in col).cycle_type() == types[0]
+        col for col in column_candidates(len(cols), 1) if Permutation(col).cycle_type() == types[0]
     )
     return types[0] == max(types) and cols[0] == first
 
@@ -29,8 +33,8 @@ def _three_condition_reference(n):
     """Every candidate table that passes QuandleMatrix.verify(), in candidate order,
     and the normal-form ones among them."""
     valid, normal = [], []
-    for cols in itertools.product(*_kernel.candidate_columns0(n)):
-        flat = bytes(cols[j][i] + 1 for i in range(n) for j in range(n))
+    for cols in itertools.product(*(column_candidates(n, i) for i in range(1, n + 1))):
+        flat = bytes(cols[j][i] for i in range(n) for j in range(n))
         if QuandleMatrix.from_flat(flat, n).verify().valid:
             valid.append(flat)
             if _in_normal_form(cols):
@@ -38,26 +42,20 @@ def _three_condition_reference(n):
     return valid, normal
 
 
-def test_candidate_columns_fix_position():
-    cols = _kernel.candidate_columns0(4)
-    assert len(cols) == 4
-    for i, pool in enumerate(cols):
-        assert len(pool) == 6
-        assert all(col[i] == i for col in pool)
-        assert pool == sorted(pool)
-
-
 def test_cycle_type_ranks():
     # types of the permutations of range(3): (1,1,1) < (2,1) < (3)
     assert _kernel.cycle_type_ranks(4) == bytes([0, 1, 1, 2, 2, 1])
     assert _kernel.cycle_type_ranks(1) == b"\x00"
     for n in range(1, 7):
-        pools = _kernel.candidate_columns0(n)
+        base = list(itertools.permutations(range(n - 1)))
         ranks = _kernel.cycle_type_ranks(n)
-        types = sorted({_kernel.cycle_type(col) for col in pools[0]})
+        types = sorted({_kernel.cycle_type(_kernel.lift(p, 0)) for p in base})
         assert len(types) == len(set(ranks))  # p(n - 1) types
-        for pool in pools:
-            assert [types.index(_kernel.cycle_type(col)) for col in pool] == list(ranks)
+        for i in range(n):
+            # position i's lifted list is its lexicographic candidate list
+            lifted = [_kernel.lift(p, i) for p in base]
+            assert lifted == [col for col in itertools.permutations(range(n)) if col[i] == i]
+            assert [types.index(_kernel.cycle_type(col)) for col in lifted] == list(ranks)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -156,6 +154,7 @@ def orbit_backend(request):
         (b"\x01\x01", 2),  # wrong length
         (b"", 0),  # order below 1
         (b"\x01" * 121, 11),  # order above MAX_ORDER
+        (b"", 1 << 20),  # an order whose square overflows an int
     ],
 )
 def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
@@ -163,17 +162,14 @@ def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
         orbit_backend(flat, n)
 
 
-def test_compiled_scan_rejects_malformed_pools(compiled):
-    packed = [bytes([0, 1]), bytes([0, 1])]
-    assert compiled.scan(2, packed, b"\x00", 100)[0] == [b"\x01\x01\x02\x02"]
+def test_compiled_scan_rejects_malformed_ranks(compiled):
+    assert compiled.scan(2, b"\x00", 100)[0] == [b"\x01\x01\x02\x02"]
     with pytest.raises(ValueError):
-        compiled.scan(2, [bytes([0, 7]), bytes([0, 1])], b"\x00", 100)
+        compiled.scan(2, b"\x00\x00", 100)  # one rank per permutation of range(n - 1)
     with pytest.raises(ValueError):
-        compiled.scan(2, packed, b"\x00\x00", 100)  # more ranks than pool columns
-    with pytest.raises(ValueError):
-        compiled.scan(2, packed[:1], b"\x00", 100)
+        compiled.scan(4, b"\x00" * 5, 100)
     with pytest.raises(TypeError):
-        compiled.scan(2, packed, [0], 100)  # ranks must be bytes
+        compiled.scan(2, [0], 100)  # ranks must be bytes
 
 
 def test_scan_argument_validation():
