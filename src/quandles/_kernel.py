@@ -1,6 +1,6 @@
 """Hot-loop kernels with backend selection.
 
-The exhaustive column scan and the relabelling orbit dominate runtime, so
+The exhaustive column scan and the relabelling walk dominate runtime, so
 both exist twice: compiled (quandles._speedups, hand-written C in
 _speedups.c) and pure Python.  The compiled module is picked at import
 when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
@@ -184,24 +184,38 @@ def _scan_closure_pure(n, ranks, cap):
     return out, placements, hit
 
 
-def orbit(flat: bytes, n: int) -> tuple[dict[bytes, bytes], list[bytes]]:
+# which images orbit() returns: none, those sharing the input's column 0, or all
+KEEP_NONE, KEEP_COLUMN0, KEEP_ALL = 0, 1, 2
+
+Walk = tuple[bytes, bytes, list[bytes], set[bytes]]  # (least, witness, stabilizer, images)
+
+_ONE_BASED = bytes(range(1, 256)) + b"\0"  # translate table adding 1 to every entry
+
+
+def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     """One walk over the n! relabellings of a table, in lexicographic order.
 
     `flat` is the row-major 1-based byte encoding; a relabelling rho is the
     bytes of its 1-based image array and acts by
-    out[rho(i)][rho(j)] = rho(flat[i][j]).  Returns (images, stabilizer):
-    `images` maps every distinct relabelled table to the least relabelling
-    that reaches it, and `stabilizer` lists the relabellings fixing `flat`,
-    least first.  By orbit-stabilizer len(images) * len(stabilizer) == n!.
-    Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n and every
-    entry lies in 1..n.
+    out[rho(i)][rho(j)] = rho(flat[i][j]).  Returns
+    (least, witness, stabilizer, images): `least` is the row-major least
+    image, `witness` the least relabelling that reaches it, `stabilizer`
+    the relabellings fixing `flat`, least first, and `images` the distinct
+    images that `keep` selects: none (KEEP_NONE), those whose column 0 is
+    `flat`'s (KEEP_COLUMN0; for a table in scan's normal form, exactly the
+    normal forms of its class) or all of them (KEEP_ALL, with
+    len(images) * len(stabilizer) == n!).  No other image is kept; the
+    compiled walk makes no object for one and abandons it once it is
+    greater than the least so far and differs from `flat`.
+    Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n, every
+    entry lies in 1..n and `keep` is one of the three.
     """
     if _speedups is not None:
-        return _speedups.orbit(flat, n)
-    return _orbit_pure(flat, n)
+        return _speedups.orbit(flat, n, keep)
+    return _orbit_pure(flat, n, keep)
 
 
-def _orbit_pure(flat: bytes, n: int) -> tuple[dict[bytes, bytes], list[bytes]]:
+def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     if not 1 <= n <= MAX_ORDER:
         raise ValueError("order out of range")
     if len(flat) != n * n:
@@ -209,25 +223,32 @@ def _orbit_pure(flat: bytes, n: int) -> tuple[dict[bytes, bytes], list[bytes]]:
     for x in flat:
         if not 1 <= x <= n:
             raise ValueError(f"entry {x} outside 1..{n}")
-    images: dict[bytes, bytes] = {}
+    if keep not in (KEEP_NONE, KEEP_COLUMN0, KEEP_ALL):
+        raise ValueError(f"keep must be {KEEP_NONE}, {KEEP_COLUMN0} or {KEEP_ALL}")
+    least, witness = flat, bytes(range(1, n + 1))
     stabilizer: list[bytes] = []
+    images: set[bytes] = set()
+    column0 = flat[::n]
     values = bytearray(range(256))
     inverse = [0] * n
     rng = range(n)
     for p in itertools.permutations(rng):
-        word = bytes(x + 1 for x in p)
+        word = bytes(p).translate(_ONE_BASED)
         values[1 : n + 1] = word
         relabelled = flat.translate(values)
         for i in rng:
             inverse[p[i]] = i
         # out[a][b] = rho(flat[rho^-1(a)][rho^-1(b)])
         cand = bytes([relabelled[q * n + r] for q in inverse for r in inverse])
-        images.setdefault(cand, word)
+        if cand < least:
+            least, witness = cand, word
         if cand == flat:
             stabilizer.append(word)
-    return images, stabilizer
+        if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
+            images.add(cand)
+    return least, witness, stabilizer, images
 
 
 def canon_min(flat: bytes, n: int) -> bytes:
-    """Lexicographically least relabelling of a table: the least orbit member."""
-    return min(orbit(flat, n)[0])
+    """Lexicographically least relabelling of a table, from one walk that keeps no image."""
+    return orbit(flat, n)[0]

@@ -1,4 +1,4 @@
-/* Compiled kernels for quandles._kernel: the column scan and the relabelling orbit.
+/* Compiled kernels for quandles._kernel: the column scan and the relabelling walk.
 
    Both must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
@@ -79,7 +79,8 @@ closure_propagate(struct closure *s, int start)
     return 1;
 }
 
-/* Advance p to the next permutation in lexicographic order; 0 after the last. */
+/* Advance p to the next permutation in lexicographic order.  Returns 0 after
+   the last, else 1 + the first position changed (p[0..i-1] stay). */
 static int
 next_permutation(int *p, int n)
 {
@@ -99,7 +100,7 @@ next_permutation(int *p, int n)
         p[k] = p[l];
         p[l] = tmp;
     }
-    return 1;
+    return i + 1;
 }
 
 PyDoc_STRVAR(scan_doc,
@@ -230,22 +231,28 @@ scan(PyObject *self, PyObject *args)
 }
 
 PyDoc_STRVAR(orbit_doc,
-"orbit(flat, n) -> (images, stabilizer)\n\n"
+"orbit(flat, n, keep) -> (least, witness, stabilizer, images)\n\n"
 "Mirror of quandles._kernel._orbit_pure: one walk over the n! relabellings\n"
-"of a row-major 1-based table, in lexicographic order.");
+"of a row-major 1-based table, in lexicographic order.  `keep` selects the\n"
+"images returned: 0 none, 1 those sharing the table's column 0, 2 all.\n"
+"Any other image is built row by row and abandoned once it is greater than\n"
+"the least so far and differs from the table.  Bytes are made only for\n"
+"stabilizer elements, kept images and, at the end, the least image and its\n"
+"witness.");
 
 static PyObject *
 orbit(PyObject *self, PyObject *args)
 {
     Py_buffer view;
-    int n;
+    int n, keep;
     unsigned char table[MAX_ORDER * MAX_ORDER];
     unsigned char cur[MAX_ORDER * MAX_ORDER];
-    unsigned char word[MAX_ORDER];
-    int p[MAX_ORDER];
-    PyObject *images = NULL, *stabilizer = NULL;
+    unsigned char least[MAX_ORDER * MAX_ORDER];
+    unsigned char word[MAX_ORDER], witness[MAX_ORDER];
+    int p[MAX_ORDER], inv[MAX_ORDER];
+    PyObject *stabilizer = NULL, *images = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*i", &view, &n))
+    if (!PyArg_ParseTuple(args, "y*ii", &view, &n, &keep))
         return NULL;
     const unsigned char *src = (const unsigned char *)view.buf;
     if (n < 1 || n > MAX_ORDER) {
@@ -264,43 +271,86 @@ orbit(PyObject *self, PyObject *args)
         }
         table[i] = src[i] - 1;
     }
-    images = PyDict_New();
-    stabilizer = PyList_New(0);
-    if (images == NULL || stabilizer == NULL)
+    if (keep < 0 || keep > 2) {
+        PyErr_SetString(PyExc_ValueError, "keep must be 0, 1 or 2");
         goto fail;
-    for (int i = 0; i < n; i++)
-        p[i] = i;
+    }
+    stabilizer = PyList_New(0);
+    images = PySet_New(NULL);
+    if (stabilizer == NULL || images == NULL)
+        goto fail;
+    memcpy(least, src, nn);
+    for (int i = 0; i < n; i++) {
+        p[i] = inv[i] = i;
+        witness[i] = (unsigned char)(i + 1);
+    }
+    int changed = 1; /* 1 + the first position of p changed by the last step */
     do {
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < n; j++)
-                cur[p[i] * n + p[j]] = p[table[i * n + j]] + 1;
-        PyObject *key = PyBytes_FromStringAndSize((const char *)cur, nn);
-        if (key == NULL)
-            goto fail;
-        /* the first relabelling to reach an image is the least one */
-        int seen = PyDict_Contains(images, key);
-        int fixed = memcmp(cur, src, nn) == 0;
-        int err = seen < 0;
-        PyObject *w = NULL;
-        if (!err && (seen == 0 || fixed)) {
+        for (int i = changed - 1; i < n; i++)
+            inv[p[i]] = i;
+        /* out[a][b] = p(table[inv a][inv b]) + 1; under keep 1, column 0 alone
+           decides whether the image is kept */
+        int kept = keep == 2;
+        if (keep == 1) {
+            kept = 1;
+            for (int a = 0; a < n && kept; a++)
+                kept = p[table[inv[a] * n + inv[0]]] + 1 == src[a * n];
+        }
+        int order = 0, fixed = 1;
+        if (kept) {
+            /* nothing to drop, so build it whole without the entry loop's checks,
+               which would cost --all about half again: out[p i][p j] = p(table[i][j]) + 1 */
+            for (int i = 0; i < n; i++)
+                for (int j = 0; j < n; j++)
+                    cur[p[i] * n + p[j]] = (unsigned char)(p[table[i * n + j]] + 1);
+            order = memcmp(cur, least, nn);
+            fixed = memcmp(cur, src, nn) == 0;
+        } else {
+            /* entry by entry, until it is known to be greater than the least and not fixed */
+            for (int a = 0; a < n; a++) {
+                const unsigned char *t = table + inv[a] * n;
+                for (int b = 0, k = a * n; b < n; b++, k++) {
+                    const int v = p[t[inv[b]]] + 1;
+                    cur[k] = (unsigned char)v;
+                    if (order == 0)
+                        order = v - least[k];
+                    fixed = fixed && v == src[k];
+                    if (order > 0 && !fixed)
+                        goto next;
+                }
+            }
+        }
+        if (order < 0) {
+            memcpy(least, cur, nn);
+            for (int i = 0; i < n; i++)
+                witness[i] = (unsigned char)(p[i] + 1);
+        }
+        if (fixed) {
             for (int i = 0; i < n; i++)
                 word[i] = (unsigned char)(p[i] + 1);
-            w = PyBytes_FromStringAndSize((const char *)word, n);
-            err = w == NULL
-                  || (seen == 0 && PyDict_SetItem(images, key, w) < 0)
-                  || (fixed && PyList_Append(stabilizer, w) < 0);
+            PyObject *w = PyBytes_FromStringAndSize((const char *)word, n);
+            int err = w == NULL || PyList_Append(stabilizer, w) < 0;
+            Py_XDECREF(w);
+            if (err)
+                goto fail;
         }
-        Py_DECREF(key);
-        Py_XDECREF(w);
-        if (err)
-            goto fail;
-    } while (next_permutation(p, n));
+        if (kept) {
+            PyObject *image = PyBytes_FromStringAndSize((const char *)cur, nn);
+            int err = image == NULL || PySet_Add(images, image) < 0;
+            Py_XDECREF(image);
+            if (err)
+                goto fail;
+        }
+    next:
+        changed = next_permutation(p, n);
+    } while (changed);
     PyBuffer_Release(&view);
-    return Py_BuildValue("(NN)", images, stabilizer);
+    return Py_BuildValue("(y#y#NN)", (const char *)least, (Py_ssize_t)nn,
+                         (const char *)witness, (Py_ssize_t)n, stabilizer, images);
 
 fail:
-    Py_XDECREF(images);
     Py_XDECREF(stabilizer);
+    Py_XDECREF(images);
     PyBuffer_Release(&view);
     return NULL;
 }
@@ -314,7 +364,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "quandles._speedups",
-    .m_doc = "Compiled scan and relabelling-orbit kernels; see quandles._kernel.",
+    .m_doc = "Compiled scan and relabelling-walk kernels; see quandles._kernel.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -11,9 +11,9 @@ ones, so only branches count as placements.
 Relabelling conjugates the columns, so the scan keeps only tables in a
 normal form: R_0 has the greatest cycle type in the table and is the first
 column of its type at position 0.  Every class has such a member, usually a
-few.  One relabelling-orbit walk per class then yields the class's least
-table (its representative), np and Aut, and the union of the orbits is
-every standard-form table.
+few.  One walk over the relabellings of one of them per class then yields
+the class's least table (its representative), Aut and np, and the union of
+the orbits is every standard-form table.
 """
 
 from __future__ import annotations
@@ -101,32 +101,46 @@ def _scan_all(n: int, opts: EnumerationOptions) -> list[bytes]:
     return flats
 
 
-def _class_orbits(
-    n: int, opts: EnumerationOptions
-) -> Iterator[tuple[dict[bytes, bytes], list[bytes]]]:
-    """One _kernel.orbit(flat, n) result per class, for some normal-form flat of the class.
+def _class_orbits(n: int, opts: EnumerationOptions, keep: int) -> Iterator[_kernel.Walk]:
+    """One _kernel.orbit(flat, n, keep) result per class, for a normal-form flat of the class.
 
-    Checks the scan against the theory as it goes: each orbit must hold
-    exactly the predicted number of scanned tables, and np * |Aut| == n!.
+    `keep` is KEEP_COLUMN0, whose images are the class's normal forms, or
+    KEEP_ALL.  Checks the scan against the theory as it goes: the walk must
+    claim exactly the predicted number of scanned tables, and the kept
+    images number those normal forms, or n! / |Aut| for the whole orbit.
+    A scanned table outside the normal forms of its class shows as a class
+    walked twice.
     """
     flats = _scan_all(n, opts)
     unclaimed = set(flats)
     if len(unclaimed) != len(flats):
         raise RuntimeError(f"the order-{n} scan emitted a table twice")
+    walked = set()
     for flat in flats:
         if flat not in unclaimed:
             continue
-        images, stabilizer = _kernel.orbit(flat, n)
+        walk = _kernel.orbit(flat, n, keep)
+        least, _, stabilizer, images = walk
+        if least in walked:
+            raise RuntimeError(
+                f"class of {QuandleMatrix.from_flat(least, n)!r} walked twice: "
+                "the scan kept a table outside its normal forms"
+            )
+        walked.add(least)
         members = unclaimed.intersection(images)
         expected = _kernel.normal_forms_in_class(flat, n, len(stabilizer))
-        if len(members) != expected or len(images) * len(stabilizer) != factorial(n):
+        if keep == _kernel.KEEP_ALL:
+            counted = len(images) * len(stabilizer) == factorial(n)
+        else:
+            counted = len(images) == expected
+        if len(members) != expected or not counted:
             raise RuntimeError(
                 f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: "
-                f"orbit size {len(images)}, |Aut| = {len(stabilizer)}, "
+                f"{len(images)} images kept, |Aut| = {len(stabilizer)}, "
                 f"{len(members)} of its {expected} normal forms in the scan"
             )
         unclaimed -= members
-        yield images, stabilizer
+        yield walk
 
 
 def _transpose(blob: bytes, n: int) -> bytes:
@@ -150,7 +164,8 @@ def all_tables(n: int, opts: EnumerationOptions | None = None) -> list[bytes]:
     """
     opts = opts or EnumerationOptions()
     nn = n * n
-    by_column = _transpose(b"".join(b"".join(images) for images, _ in _class_orbits(n, opts)), n)
+    orbits = _class_orbits(n, opts, _kernel.KEEP_ALL)
+    by_column = _transpose(b"".join(b"".join(images) for *_, images in orbits), n)
     ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
     rows = _transpose(b"".join(ordered), n)
     return [rows[k : k + nn] for k in range(0, len(rows), nn)]
@@ -169,25 +184,25 @@ def enumerate_all(n: int, opts: EnumerationOptions | None = None) -> Iterator[Qu
 def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> EnumerationReport:
     """Classify the standard-form tables of order n up to isomorphism.
 
-    Each class makes a single orbit pass from one of its normal-form tables:
-    the least image is the canonical representative, the orbit's size is np
-    and the stabilizer's order is |Aut| (its group is conjugate to the
-    representative's, so the label is the same).  Each class keeps its
+    Each class makes a single walk from one of its normal-form tables that
+    keeps only the class's normal forms: the least image is the canonical
+    representative, the stabilizer's order is |Aut| (its group is conjugate
+    to the representative's, so the label is the same) and np is n! / |Aut|.  Each class keeps its
     representative, automorphism group data, np, and the latin and
     connectivity flags.  Raises ResourceLimitError as all_tables does.
     """
     opts = opts or EnumerationOptions()
     start = time.perf_counter()
     records = []
-    for images, stabilizer in _class_orbits(n, opts):
-        rep = QuandleMatrix.from_flat(min(images), n)
+    for least, _, stabilizer, _ in _class_orbits(n, opts, _kernel.KEEP_COLUMN0):
+        rep = QuandleMatrix.from_flat(least, n)
         aut = stabilizer_group(n, stabilizer)
         records.append(
             ClassRecord(
                 representative=rep,
                 aut_order=aut.order,
                 aut_id=identify_group(aut),
-                np=len(images),
+                np=factorial(n) // aut.order,
                 latin=rep.is_latin(),
                 connected=rep.is_connected(),
             )

@@ -36,12 +36,24 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     """A witness rho with permute(a, rho) == b, or None.
 
     When several witnesses exist the one with lexicographically least image
-    array is returned, so the output is reproducible.
+    array is returned, so the output is reproducible.  One walk over each
+    table's relabellings gives its least image L and a witness: w_a sends a
+    to L and w_b sends b to L.  The witnesses are then the coset
+    w_b^-1 w_a Aut(a), whose least member is taken.
     """
     if a.n != b.n:
         return None
-    witness = _kernel.orbit(a.flat(), a.n)[0].get(b.flat())
-    return None if witness is None else Permutation._unchecked(tuple(witness))
+    n = a.n
+    least_a, w_a, aut_a, _ = _kernel.orbit(a.flat(), n)
+    least_b, w_b, _, _ = _kernel.orbit(b.flat(), n)
+    if least_a != least_b:
+        return None
+    # (w_b^-1 w_a s)(x) = w_b^-1(w_a(s(x))): s's image bytes translated through w_b^-1 w_a
+    values = bytearray(range(256))
+    for x, y in enumerate(w_b, 1):
+        values[y] = x
+    values[1 : n + 1] = w_a.translate(values)
+    return Permutation._unchecked(tuple(min(s.translate(values) for s in aut_a)))
 
 
 def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
@@ -50,20 +62,21 @@ def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
 
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
-    """All permutations fixing m under the relabelling action."""
-    return stabilizer_group(m.n, _kernel.orbit(m.flat(), m.n)[1])
+    """All permutations fixing m under the relabelling action: the stabilizer of one walk."""
+    return stabilizer_group(m.n, _kernel.orbit(m.flat(), m.n)[2])
 
 
 def np_count(m: QuandleMatrix) -> int:
     """Number of standard-form tables in m's class: n! / |Aut| (orbit-stabilizer)."""
-    return factorial(m.n) // len(_kernel.orbit(m.flat(), m.n)[1])
+    return factorial(m.n) // len(_kernel.orbit(m.flat(), m.n)[2])
 
 
 def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
     """Lexicographically least table (row-major) in m's relabelling orbit.
 
     Two valid standard-form tables are isomorphic iff their canonical forms
-    are entrywise equal.
+    are entrywise equal.  The least image comes from one walk that keeps
+    no other image.
     """
     return QuandleMatrix.from_flat(_kernel.canon_min(m.flat(), m.n), m.n)
 

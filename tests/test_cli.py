@@ -186,8 +186,29 @@ if sys.argv[1]:
     _kernel._speedups = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(_kernel._speedups)
 code = cli.main(sys.argv[2:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# Linux carries the spawning process's peak into ru_maxrss across exec, so
+# read this process's own high-water mark where /proc has it
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak)
 """
+
+
+def _run_peak_rss(kernel_path, argv):
+    """The CLI run in a child process: (exit code, stdout lines, stderr, peak RSS in KiB)."""
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, kernel_path, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    *lines, last = proc.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())
+    return code, lines, proc.stderr, max_rss_kib
 
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
@@ -195,17 +216,34 @@ def test_enumerate_order10_cap_bounds_set_up_memory(kernel, request):
     # the budget covers set-up: before its first placement the scan holds only the
     # ranks and, on the compiled kernel, one buffer of n * n! lifted column entries
     path = request.getfixturevalue("compiled").__file__ if kernel == "c" else ""
-    env = dict(os.environ)
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_SCRIPT, path, "enumerate", "10", "--cap", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    code, max_rss_kib = map(int, proc.stdout.split())
+    code, _, err, max_rss_kib = _run_peak_rss(path, ["enumerate", "10", "--cap", "1"])
     assert code == 3
-    assert "after 2 column placements (cap 1)" in proc.stderr
+    assert "after 2 column placements (cap 1)" in err
     assert max_rss_kib < 150 * 1024
+
+
+ORDER10_AUT8 = [
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [2, 2, 2, 2, 2, 2, 3, 2, 3, 3],
+    [3, 3, 3, 3, 3, 3, 2, 3, 2, 2],
+    [4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+    [5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
+    [6, 6, 6, 8, 6, 6, 6, 6, 6, 6],
+    [7, 7, 7, 7, 7, 7, 7, 7, 7, 7],
+    [8, 8, 8, 6, 8, 8, 8, 8, 8, 8],
+    [10, 9, 9, 9, 9, 9, 9, 9, 9, 9],
+    [9, 10, 10, 10, 10, 10, 10, 10, 10, 10],
+]
+
+
+def test_props_order10_walks_without_holding_the_orbit(compiled, tmp_path):
+    # canon, Aut and np each walk the 10! relabellings of a table whose class has
+    # 453,600 members; none of them keeps an image, so memory stays flat
+    path = _write(tmp_path, "m.txt", ORDER10_AUT8)
+    code, lines, _, max_rss_kib = _run_peak_rss(compiled.__file__, ["props", path])
+    assert code == 0
+    assert {"aut_order: 8", "aut_label: unidentified", "np: 453600"} <= set(lines)
+    assert max_rss_kib < 64 * 1024
 
 
 def test_enumerate_cap_beyond_64_bits(fastest_kernel, capsys):

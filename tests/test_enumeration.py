@@ -10,6 +10,7 @@ from quandles import (
     EnumerationOptions,
     QuandleMatrix,
     ResourceLimitError,
+    all_tables,
     canonical_form,
     column_candidates,
     enumerate_all,
@@ -184,10 +185,11 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
     kept_in_class = Counter()
     class_of = {}
     for k, rec in enumerate(enumerate_classes(5).classes):
-        for image in _kernel.orbit(rec.representative.flat(), 5)[0]:
+        for image in sorted(_kernel.orbit(rec.representative.flat(), 5, _kernel.KEEP_ALL)[3]):
             class_of[image] = k
     kept_in_class.update(class_of[flat] for flat in flats)
-    # a class with one normal form leaves no trace when it is dropped; every other drop shows
+    # a class with one normal form leaves no trace when it is dropped; every other
+    # drop shows, both where the walk keeps the normal forms and where it keeps all
     dropped = [k for k, flat in enumerate(flats) if kept_in_class[class_of[flat]] > 1]
     assert len(dropped) == 18
     for k in dropped:
@@ -195,8 +197,13 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
         monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: partial)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
             enumerate_classes(5)
-    # and a table the scan should not have kept shows too
-    extra = flats + [next(image for image in class_of if image not in flats)]
-    monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: extra)
-    with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
-        enumerate_classes(5)
+        with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
+            all_tables(5)
+    # and a table the scan should not have kept shows too, before or after its class
+    stray = next(image for image in class_of if image not in flats)
+    for extra in (flats + [stray], [stray] + flats):
+        monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: extra)
+        with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch|walked twice"):
+            enumerate_classes(5)
+        with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch|walked twice"):
+            all_tables(5)

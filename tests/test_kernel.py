@@ -13,6 +13,7 @@ from quandles import (
     all_tables,
     column_candidates,
     enumerate_classes,
+    permute,
 )
 
 
@@ -103,12 +104,21 @@ def test_backends_agree_past_the_c_counter_range(compiled):
 
 
 def _same_orbit(compiled, flat, n):
-    images, stabilizer = compiled.orbit(flat, n)
-    pure_images, pure_stabilizer = _kernel._orbit_pure(flat, n)
-    # same entries in the same (lexicographic walk) order
-    assert list(images.items()) == list(pure_images.items())
-    assert stabilizer == pure_stabilizer
-    assert len(images) * len(stabilizer) == math.factorial(n)
+    # both backends give the same walk in every keep mode, and each mode keeps
+    # its share of the whole orbit
+    walks = {}
+    for keep in (_kernel.KEEP_NONE, _kernel.KEEP_COLUMN0, _kernel.KEEP_ALL):
+        walks[keep] = compiled.orbit(flat, n, keep)
+        assert walks[keep] == _kernel._orbit_pure(flat, n, keep)
+    least, witness, stabilizer, orbit = walks[_kernel.KEEP_ALL]
+    assert len(orbit) * len(stabilizer) == math.factorial(n)
+    assert least == min(orbit) and flat in orbit
+    assert stabilizer == sorted(stabilizer)
+    table = QuandleMatrix.from_flat(flat, n)
+    assert permute(table, Permutation(tuple(witness))).flat() == least
+    assert walks[_kernel.KEEP_NONE] == (least, witness, stabilizer, set())
+    same_column0 = {image for image in orbit if image[::n] == flat[::n]}
+    assert walks[_kernel.KEEP_COLUMN0] == (least, witness, stabilizer, same_column0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -124,18 +134,24 @@ def test_orbit_backends_agree_on_order6_classes(compiled):
         _same_orbit(compiled, rec.representative.flat(), 6)
 
 
-def test_orbit_images_and_stabilizer():
+def test_orbit_images_and_stabilizer(fastest_kernel):
     # the transposition quandle of order 3: Aut = S3, a single table in its class
     flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
-    images, stabilizer = _kernel.orbit(flat, 3)
-    assert images == {flat: b"\x01\x02\x03"}
+    least, witness, stabilizer, images = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
+    assert (least, witness, images) == (flat, b"\x01\x02\x03", {flat})
     assert stabilizer == sorted(stabilizer) and len(stabilizer) == 6
-    # order-3 class of size 3: the least witness of each image comes first
-    flat = bytes([1, 1, 1, 3, 2, 2, 2, 3, 3])
-    images, stabilizer = _kernel.orbit(flat, 3)
-    assert stabilizer == [b"\x01\x02\x03", b"\x01\x03\x02"]
-    assert list(images.values()) == [b"\x01\x02\x03", b"\x02\x01\x03", b"\x03\x01\x02"]
-    assert _kernel.canon_min(flat, 3) == min(images)
+    # an order-3 class of size 3, walked from a member that is not its least:
+    # (1 2 3) and (1 3) reach the least image, and 231 < 321 comes first
+    flat = bytes([1, 1, 2, 2, 2, 1, 3, 3, 3])
+    least = bytes([1, 1, 1, 3, 2, 2, 2, 3, 3])
+    same_column0 = bytes([1, 3, 1, 2, 2, 2, 3, 1, 3])
+    walk = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
+    stabilizer = [b"\x01\x02\x03", b"\x02\x01\x03"]
+    assert walk == (least, b"\x02\x03\x01", stabilizer, {flat, least, same_column0})
+    # no image is kept by default; KEEP_COLUMN0 keeps those whose column 0 is (1, 2, 3)
+    assert _kernel.orbit(flat, 3) == walk[:3] + (set(),)
+    assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:3] + ({flat, same_column0},)
+    assert _kernel.canon_min(flat, 3) == least
 
 
 @pytest.fixture(params=["python", "c"])
@@ -159,7 +175,15 @@ def orbit_backend(request):
 )
 def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
     with pytest.raises(ValueError):
-        orbit_backend(flat, n)
+        orbit_backend(flat, n, _kernel.KEEP_NONE)
+
+
+def test_orbit_rejects_unknown_keep(orbit_backend):
+    flat = b"\x01\x01\x02\x02"
+    assert orbit_backend(flat, 2, _kernel.KEEP_ALL)[3] == {flat}
+    for keep in (_kernel.KEEP_NONE - 1, _kernel.KEEP_ALL + 1):
+        with pytest.raises(ValueError):
+            orbit_backend(flat, 2, keep)
 
 
 def test_compiled_scan_rejects_malformed_ranks(compiled):

@@ -21,7 +21,7 @@ from quandles.permutation import PermGroup, Permutation, all_permutations, orbit
 from quandles.symmetry import _label_table, stabilizer_group
 
 import tables
-from reference import np_count_explicit
+from reference import least_witness, np_count_explicit
 
 
 def test_permute_worked_example():
@@ -144,6 +144,28 @@ def test_canonical_form_agrees_with_isomorphism(report_for):
             assert are_isomorphic(x, x) is not None
 
 
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_isomorphism_witness_is_the_least(backend, report_for, request, monkeypatch):
+    # seeded relabellings of every class of order <= 5, paired with a relabelling
+    # of the same class and of a random class: the witness is the least one
+    # found by trying every relabelling, and None across classes
+    if backend == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    rng = random.Random(11)
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        reps = [rec.representative for rec in report_for(n).classes]
+        for rep in reps:
+            a = permute(rep, rng.choice(perms))
+            for partner in (rep, rng.choice(reps)):
+                b = permute(partner, rng.choice(perms))
+                witness = are_isomorphic(a, b)
+                assert witness == least_witness(a, b)
+                assert (witness is None) == (partner is not rep)
+
+
 def test_identify_small_groups():
     assert identify_group(PermGroup.generate([Permutation.parse("(2 3)", 3)])).label == "Z2"
     assert identify_group(PermGroup.generate([], degree=1)).label == "Z1"
@@ -185,7 +207,7 @@ def test_group_invariants_match_brute_force(backend, report_for, request, monkey
     assert len(report_for(6).classes) == 73
     for n in range(1, 7):
         for rec in report_for(n).classes:
-            aut = stabilizer_group(n, _kernel.orbit(rec.representative.flat(), n)[1])
+            aut = stabilizer_group(n, _kernel.orbit(rec.representative.flat(), n)[2])
             assert aut.order == rec.aut_order
             _assert_invariants_by_brute_force(aut)
 
