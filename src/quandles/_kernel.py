@@ -16,6 +16,7 @@ from collections import Counter
 from math import factorial
 
 MAX_ORDER = 10  # entries are single bytes and the scan state is fixed-size
+DEFAULT_CAP = 10**9  # the budget of scan and of an enumeration
 
 if os.environ.get("QUANDLES_PURE_PYTHON", "") not in ("", "0"):
     _speedups = None
@@ -73,7 +74,7 @@ def cycle_type_ranks(n: int) -> bytes:
     return bytes(rank[t] for t in types)
 
 
-def scan(n: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
+def scan(n: int, *, cap: int = DEFAULT_CAP) -> tuple[list[bytes], int, bool]:
     """The standard-form quandle tables of order n in normal form, row-major 1-based bytes.
 
     Column j of a table is its right translation R_j (i -> i|>j); position
@@ -87,16 +88,18 @@ def scan(n: int, *, cap: int = 10**9) -> tuple[list[bytes], int, bool]:
     by self-distributivity, R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint,
     rejecting the branch when a forced column contradicts a set one; forced
     columns are conjugates of set ones, so they never exceed R_0's type.
-    Tables come out lexicographic in the column-index tuple.  Each tried
-    candidate counts as one placement (skipped and forced columns are free);
-    the scan stops once the count exceeds `cap`, returning (partial output,
-    count, True).
+    Tables come out lexicographic in the column-index tuple.  The budget
+    charges 1 per tried candidate, a placement (skipped and forced columns
+    are free), and n! per kept table, the relabellings that walking its
+    class may take.  The scan stops at the first placement or kept table
+    that takes the charge past `cap`, returning (output so far, placements,
+    True); otherwise it returns (every table, placements, False).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     ranks = cycle_type_ranks(n)
     if _speedups is not None:
-        # the C count is a long long; no scan gets near its limit, so clamping is exact
+        # the C cap is a long long; no scan gets near its limit, so clamping is exact
         return _speedups.scan(n, ranks, max(0, min(cap, 2**63 - 1)))
     return _scan_closure_pure(n, ranks, cap)
 
@@ -148,16 +151,18 @@ def _scan_closure_pure(n, ranks, cap):
             q += 1
         return True
 
-    placements = 0
+    relabellings = factorial(n)
+    placements = charged = 0
     hit = False
 
     def walk(choices, base):  # deeper positions draw from base
-        nonlocal placements, hit
+        nonlocal placements, charged, hit
         d = cols.index(None)
         mark = len(trail)
         for perm in choices:
             placements += 1
-            if placements > cap:
+            charged += 1
+            if charged > cap:
                 hit = True
                 return
             cols[d] = lift(perm, d)
@@ -165,6 +170,10 @@ def _scan_closure_pure(n, ranks, cap):
             if propagate(mark):
                 if len(trail) == n:
                     out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
+                    charged += relabellings
+                    if charged > cap:
+                        hit = True
+                        return
                 else:
                     walk(base, base)
                     if hit:

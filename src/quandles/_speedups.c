@@ -110,6 +110,8 @@ PyDoc_STRVAR(scan_doc,
 "in lexicographic order; every position's k-th candidate column is its lift,\n"
 "made once, before the scan.  Position 0 tries only the first column of each\n"
 "rank; the other positions skip, for free, columns of greater rank than R_0.\n"
+"Charges 1 per placement and n! per kept table, and stops at the first\n"
+"charge past `cap`.\n"
 "Returns (matrices, placements, hit_cap), matrices as row-major 1-based bytes.");
 
 /* Branch on the least unset position, propagate, undo through the trail.
@@ -129,7 +131,8 @@ scan(PyObject *self, PyObject *args)
         return NULL;
     /* copies whose address is never taken, so the hot loop keeps them in registers */
     const int n = n_arg;
-    const long long cap = cap_arg;
+    /* a negative cap, like 0, stops at the first placement */
+    const unsigned long long cap = cap_arg < 0 ? 0 : cap_arg;
     const unsigned char *const ranks = (const unsigned char *)ranks_arg;
     if (n < 1 || n > MAX_ORDER) {
         PyErr_SetString(PyExc_ValueError, "order out of range");
@@ -174,6 +177,10 @@ scan(PyObject *self, PyObject *args)
     memset(&s, 0, sizeof s);
     s.n = n;
     int n_eligible = 0;
+    const unsigned long long relabellings = (unsigned long long)count * n; /* n! */
+    /* each charge is 1 or n! <= 10! and the scan stops at the first one past
+       cap < 2**63, so the sum stays under 2**63 + 10! and never wraps */
+    unsigned long long charged = 0;
     long long placements = 0;
     int hit = 0;
     int top = 0;
@@ -201,7 +208,8 @@ scan(PyObject *self, PyObject *args)
             }
             i = eligible[frame[top].next++];
         }
-        if (++placements > cap) {
+        placements++;
+        if (++charged > cap) {
             hit = 1;
             break;
         }
@@ -212,6 +220,11 @@ scan(PyObject *self, PyObject *args)
         if (s.len == n) {
             if (append_table(out, s.col_at, n) < 0) {
                 Py_CLEAR(out);
+                break;
+            }
+            charged += relabellings;
+            if (charged > cap) {
+                hit = 1;
                 break;
             }
             continue;

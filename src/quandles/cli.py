@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import factorial
 
 from . import construct
 from ._kernel import backend
@@ -97,7 +98,7 @@ def _cmd_props(args) -> int:
     print("orbits: " + " ".join("{" + ",".join(map(str, b)) + "}" for b in m.orbits()))
     print(f"aut_order: {aut.order}")
     print(f"aut_label: {identify_group(aut).label}")
-    print(f"np: {np_count(m)}")
+    print(f"np: {factorial(m.n) // aut.order}")
     return EXIT_OK
 
 
@@ -270,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
     p.add_argument("--cap", type=_positive_int, default=EnumerationOptions().max_placements,
-                   help="budget: abort (exit 3) before the scan's column placements "
-                   "(tried candidates; forced and skipped columns are free) plus n! "
-                   "relabellings per scanned table exceed it")
+                   help="budget: the scan charges 1 per tried candidate column and n! "
+                   "per kept table, and aborts (exit 3) at the first charge past it")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("backend", help="report which scan kernel is active")

@@ -28,27 +28,20 @@ from . import _kernel
 from .matrix import QuandleMatrix
 from .symmetry import ClassRecord, identify_group, stabilizer_group
 
-DEFAULT_MAX_PLACEMENTS = 10**9
-
-
 class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed its budget instead of hanging.
 
     The budget is charged one unit per column placement of the scan and n!
     per table the scan keeps, the relabellings that deduplicating it may
-    walk.  `relabellings` is 0 when the scan itself ran past the cap.
+    walk; the scan stops at the first charge past the cap, before any walk.
     """
 
-    def __init__(self, n: int, placements: int, cap: int, relabellings: int = 0):
+    def __init__(self, n: int, placements: int, cap: int, relabellings: int):
         self.charged = placements + relabellings
-        if relabellings:
-            detail = (
-                f": {placements} column placements and {relabellings} relabellings "
-                f"make {self.charged}"
-            )
-        else:
-            detail = f" after {placements} column placements"
-        super().__init__(f"enumeration of order {n} aborted{detail} (cap {cap})")
+        super().__init__(
+            f"enumeration of order {n} aborted: {placements} column placements and "
+            f"{relabellings} relabellings make {self.charged} (cap {cap})"
+        )
         self.n = n
         self.placements = placements
         self.relabellings = relabellings
@@ -57,7 +50,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationOptions:
-    max_placements: int = DEFAULT_MAX_PLACEMENTS
+    max_placements: int = _kernel.DEFAULT_CAP
 
     def __post_init__(self):
         if self.max_placements < 1:
@@ -91,13 +84,10 @@ def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
 
 
 def _scan_all(n: int, opts: EnumerationOptions) -> list[bytes]:
-    """The normal-form tables, once the budget is known to cover their orbit walks."""
+    """The normal-form tables, from a scan whose budget covers their orbit walks."""
     flats, placements, hit = _kernel.scan(n, cap=opts.max_placements)
     if hit:
-        raise ResourceLimitError(n, placements, opts.max_placements)
-    relabellings = len(flats) * factorial(n)
-    if placements + relabellings > opts.max_placements:
-        raise ResourceLimitError(n, placements, opts.max_placements, relabellings)
+        raise ResourceLimitError(n, placements, opts.max_placements, len(flats) * factorial(n))
     return flats
 
 

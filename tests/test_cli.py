@@ -158,22 +158,33 @@ def test_enumerate_cap_exit_code(capsys):
     code, _, err = _run(capsys, ["enumerate", "5", "--cap", "100"])
     assert code == 3
     assert "aborted" in err
-    assert "after 101 column placements (cap 100)" in err
-    # one budget: 208 placements keep 33 tables, each charged 5! relabellings
+    assert "5 column placements and 120 relabellings make 125 (cap 100)" in err
+    # one budget: each placement is charged 1 and each kept table 5! relabellings
     code, _, err = _run(capsys, ["enumerate", "5", "--cap", "2000"])
     assert code == 3
-    assert "208 column placements and 3960 relabellings make 4168 (cap 2000)" in err
+    assert "72 column placements and 2040 relabellings make 2112 (cap 2000)" in err
     assert _run(capsys, ["enumerate", "5", "--machine", "--cap", "4168"])[0] == 0
     assert _run(capsys, ["enumerate", "5", "--all", "--cap", "4167"])[0] == 3
 
 
-def test_enumerate_order9_exits_on_the_budget_before_any_orbit_walk(compiled, capsys, monkeypatch):
-    # 56,465,079 placements fit the default cap, but 218,025 tables x 9! relabellings do not
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_enumerate_order9_exits_on_the_budget_before_any_orbit_walk(
+    kernel, request, capsys, monkeypatch
+):
+    # the whole scan makes 56,465,079 placements and keeps 218,025 tables, but the
+    # default budget is spent once 2,756 of them are charged 9! relabellings each
+    if kernel == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
     monkeypatch.setattr(_kernel, "orbit", None)
     start = time.perf_counter()
     code, out, err = _run(capsys, ["enumerate", "9"])
     assert (code, out) == (3, "")
-    assert "56465079 column placements and 79116912000 relabellings make 79173377079" in err
+    assert (
+        "21621 column placements and 1000097280 relabellings make 1000118901 (cap 1000000000)"
+        in err
+    )
     assert time.perf_counter() - start < 60
 
 
@@ -218,7 +229,18 @@ def test_enumerate_order10_cap_bounds_set_up_memory(kernel, request):
     path = request.getfixturevalue("compiled").__file__ if kernel == "c" else ""
     code, _, err, max_rss_kib = _run_peak_rss(path, ["enumerate", "10", "--cap", "1"])
     assert code == 3
-    assert "after 2 column placements (cap 1)" in err
+    assert "2 column placements and 0 relabellings make 2 (cap 1)" in err
+    assert max_rss_kib < 150 * 1024
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_enumerate_order10_default_cap_stops_when_the_budget_is_spent(kernel, request):
+    # 276 kept tables are charged 10! each: the scan stops there, not after the
+    # whole order-10 scan and the tables it would hold
+    path = request.getfixturevalue("compiled").__file__ if kernel == "c" else ""
+    code, lines, err, max_rss_kib = _run_peak_rss(path, ["enumerate", "10"])
+    assert (code, lines) == (3, [])
+    assert "1187 column placements and 1001548800 relabellings make 1001549987" in err
     assert max_rss_kib < 150 * 1024
 
 

@@ -96,10 +96,10 @@ def test_resource_cap(monkeypatch):
     with pytest.raises(ResourceLimitError) as exc:
         enumerate_classes(5, EnumerationOptions(max_placements=4167))
     assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (208, 3960, 4168)
-    # order 4 needs 24 placements; a smaller cap cuts the scan itself
+    # order 4: the first kept table, after 4 placements, is charged 4! and passes the cap
     with pytest.raises(ResourceLimitError) as exc:
         list(enumerate_all(4, EnumerationOptions(max_placements=20)))
-    assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (21, 0, 21)
+    assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (4, 24, 28)
 
 
 def test_options_validation():

@@ -17,7 +17,7 @@ from quandles import (
 )
 
 
-def _pure_scan(n, cap=10**9):
+def _pure_scan(n, cap=_kernel.DEFAULT_CAP):
     return _kernel._scan_closure_pure(n, _kernel.cycle_type_ranks(n), cap)
 
 
@@ -78,12 +78,17 @@ def test_backends_agree_exactly(n, compiled):
 
 
 def test_backends_agree_on_caps(compiled):
-    # identical partial output and placement count where the cap cuts the scan
-    for cap in (1, 10, 137, 1000, 2500):
+    # identical partial output and placement count where the budget (1 per
+    # placement, 6! per kept table) cuts the scan; 726 and 730 cut on a
+    # placement after the first kept table
+    cuts = {
+        1: (0, 2), 10: (1, 6), 137: (1, 6), 1000: (2, 11), 2500: (4, 15),
+        726: (1, 7), 730: (1, 11),
+    }
+    for cap, (tables, placements) in cuts.items():
         expected = _pure_scan(6, cap=cap)
-        assert expected[1:] == (cap + 1, True)
+        assert (len(expected[0]),) + expected[1:] == (tables, placements, True)
         assert _kernel.scan(6, cap=cap) == expected
-    assert 0 < len(_pure_scan(6, cap=1000)[0]) < 181
 
 
 @pytest.mark.parametrize("n, tables, placements", [(5, 33, 208), (6, 181, 2577), (7, 1405, 48116)])
