@@ -5,7 +5,7 @@ isomorphism testing by relabelling, automorphism groups, and exhaustive
 classification of all isomorphism classes of a given (small) order.
 """
 
-from ._kernel import backend, has_speedups
+from ._kernel import backend
 from .construct import (
     AlexanderPresentation,
     alexander,
@@ -16,11 +16,9 @@ from .construct import (
     trivial,
 )
 from .enumeration import (
-    EnumerationOptions,
     EnumerationReport,
     ResourceLimitError,
     all_tables,
-    column_candidates,
     enumerate_all,
     enumerate_classes,
 )
@@ -29,8 +27,6 @@ from .matrix import (
     QuandleParseError,
     VerificationReport,
     parse_matrix,
-    standardize,
-    verify_quandle,
 )
 from .permutation import PermGroup, Permutation, all_permutations
 from .symmetry import (
@@ -50,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlexanderPresentation",
     "ClassRecord",
-    "EnumerationOptions",
     "EnumerationReport",
     "GroupId",
     "PermGroup",
@@ -66,20 +61,16 @@ __all__ = [
     "automorphism_group",
     "backend",
     "canonical_form",
-    "column_candidates",
     "conjugation",
     "conjugation_class",
     "determinant",
     "dihedral",
     "enumerate_all",
     "enumerate_classes",
-    "has_speedups",
     "identify_group",
     "make",
     "np_count",
     "parse_matrix",
     "permute",
-    "standardize",
     "trivial",
-    "verify_quandle",
 ]

@@ -31,10 +31,6 @@ def backend() -> str:
     return "c" if _speedups is not None else "python"
 
 
-def has_speedups() -> bool:
-    return _speedups is not None
-
-
 def lift(perm, i: int) -> tuple[int, ...]:
     """The column fixing i that sends the k-th point other than i to the perm[k]-th.
 

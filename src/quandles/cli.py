@@ -13,9 +13,8 @@ import sys
 from math import factorial
 
 from . import construct
-from ._kernel import backend
+from ._kernel import DEFAULT_CAP, backend
 from .enumeration import (
-    EnumerationOptions,
     EnumerationReport,
     ResourceLimitError,
     all_tables,
@@ -191,9 +190,8 @@ def _machine_lines(flats: list[bytes], n: int) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    opts = EnumerationOptions(max_placements=args.cap)
     if args.all:
-        flats = all_tables(args.n, opts)
+        flats = all_tables(args.n, cap=args.cap)
         if args.machine:
             sys.stdout.write(_machine_lines(flats, args.n))
         else:
@@ -202,7 +200,7 @@ def _cmd_enumerate(args) -> int:
                 print()
                 print(QuandleMatrix.from_flat(flat, args.n).to_text())
         return EXIT_OK
-    report = enumerate_classes(args.n, opts)
+    report = enumerate_classes(args.n, cap=args.cap)
     if args.machine:
         _print_classes_machine(report)
     else:
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; the scan is serial")
     p.add_argument("--all", action="store_true", help="emit every table instead of classes")
     p.add_argument("--machine", action="store_true", help="line-oriented machine format")
-    p.add_argument("--cap", type=_positive_int, default=EnumerationOptions().max_placements,
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                    help="budget: the scan charges 1 per tried candidate column and n! "
                    "per kept table, and aborts (exit 3) at the first charge past it")
     p.set_defaults(func=_cmd_enumerate)

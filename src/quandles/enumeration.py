@@ -18,7 +18,6 @@ the orbits is every standard-form table.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -49,15 +48,6 @@ class ResourceLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EnumerationOptions:
-    max_placements: int = _kernel.DEFAULT_CAP
-
-    def __post_init__(self):
-        if self.max_placements < 1:
-            raise ValueError("max_placements must be positive")
-
-
-@dataclass(frozen=True)
 class EnumerationReport:
     """Classification of one order: class list plus run bookkeeping.
 
@@ -72,36 +62,22 @@ class EnumerationReport:
     elapsed: float
 
 
-def column_candidates(n: int, i: int) -> list[tuple[int, ...]]:
-    """All columns for position i: permutations of {1..n} with value i at i.
-
-    Returned in lexicographic order; there are exactly (n-1)! of them.
-    """
-    if not 1 <= i <= n:
-        raise IndexError(f"position {i} outside 1..{n}")
-    base = itertools.permutations(range(n - 1))
-    return [tuple(v + 1 for v in _kernel.lift(perm, i - 1)) for perm in base]
-
-
-def _scan_all(n: int, opts: EnumerationOptions) -> list[bytes]:
-    """The normal-form tables, from a scan whose budget covers their orbit walks."""
-    flats, placements, hit = _kernel.scan(n, cap=opts.max_placements)
-    if hit:
-        raise ResourceLimitError(n, placements, opts.max_placements, len(flats) * factorial(n))
-    return flats
-
-
-def _class_orbits(n: int, opts: EnumerationOptions, keep: int) -> Iterator[_kernel.Walk]:
+def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     """One _kernel.orbit(flat, n, keep) result per class, for a normal-form flat of the class.
 
-    `keep` is KEEP_COLUMN0, whose images are the class's normal forms, or
-    KEEP_ALL.  Checks the scan against the theory as it goes: the walk must
-    claim exactly the predicted number of scanned tables, and the kept
-    images number those normal forms, or n! / |Aut| for the whole orbit.
-    A scanned table outside the normal forms of its class shows as a class
-    walked twice.
+    The normal-form tables come from one scan whose budget `cap` covers
+    their orbit walks.  `keep` is KEEP_COLUMN0, whose images are the class's
+    normal forms, or KEEP_ALL.  Checks the scan against the theory as it
+    goes: the walk must claim exactly the predicted number of scanned
+    tables, and the kept images number those normal forms, or n! / |Aut|
+    for the whole orbit.  A scanned table outside the normal forms of its
+    class shows as a class walked twice.
     """
-    flats = _scan_all(n, opts)
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    flats, placements, hit = _kernel.scan(n, cap=cap)
+    if hit:
+        raise ResourceLimitError(n, placements, cap, len(flats) * factorial(n))
     unclaimed = set(flats)
     if len(unclaimed) != len(flats):
         raise RuntimeError(f"the order-{n} scan emitted a table twice")
@@ -143,35 +119,34 @@ def _transpose(blob: bytes, n: int) -> bytes:
     return bytes(out)
 
 
-def all_tables(n: int, opts: EnumerationOptions | None = None) -> list[bytes]:
+def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
     """Every standard-form quandle table of order n, as row-major 1-based bytes.
 
     The union of the class orbits, sorted by column-major bytes: the
     lexicographic order of the column tuples.  Raises ResourceLimitError
-    before any orbit walk when the budget does not cover the scan and n!
-    relabellings per scanned table; under the default cap that happens
-    first at n = 9.
+    before any orbit walk when the budget `cap` does not cover the scan and
+    n! relabellings per scanned table; under the default cap that happens
+    first at n = 9.  A cap below 1 is a ValueError.
     """
-    opts = opts or EnumerationOptions()
     nn = n * n
-    orbits = _class_orbits(n, opts, _kernel.KEEP_ALL)
+    orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)
     by_column = _transpose(b"".join(b"".join(images) for *_, images in orbits), n)
     ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
     rows = _transpose(b"".join(ordered), n)
     return [rows[k : k + nn] for k in range(0, len(rows), nn)]
 
 
-def enumerate_all(n: int, opts: EnumerationOptions | None = None) -> Iterator[QuandleMatrix]:
+def enumerate_all(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> Iterator[QuandleMatrix]:
     """Every standard-form quandle table of order n, exactly once, in all_tables order.
 
     Raises ResourceLimitError before yielding anything when the budget is
     too small; under the default cap that happens first at n = 9.
     """
-    for flat in all_tables(n, opts):
+    for flat in all_tables(n, cap=cap):
         yield QuandleMatrix.from_flat(flat, n)
 
 
-def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> EnumerationReport:
+def enumerate_classes(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> EnumerationReport:
     """Classify the standard-form tables of order n up to isomorphism.
 
     Each class makes a single walk from one of its normal-form tables that
@@ -181,10 +156,9 @@ def enumerate_classes(n: int, opts: EnumerationOptions | None = None) -> Enumera
     representative, automorphism group data, np, and the latin and
     connectivity flags.  Raises ResourceLimitError as all_tables does.
     """
-    opts = opts or EnumerationOptions()
     start = time.perf_counter()
     records = []
-    for least, _, stabilizer, _ in _class_orbits(n, opts, _kernel.KEEP_COLUMN0):
+    for least, _, stabilizer, _ in _class_orbits(n, cap, _kernel.KEEP_COLUMN0):
         rep = QuandleMatrix.from_flat(least, n)
         aut = stabilizer_group(n, stabilizer)
         records.append(

@@ -164,9 +164,6 @@ class QuandleMatrix:
                         return VerificationReport(False, (("distributivity", (i + 1, j + 1, k + 1)),))
         return VerificationReport(True, ())
 
-    def is_valid(self) -> bool:
-        return self.verify().valid
-
     def dual(self) -> QuandleMatrix:
         """The table of a◁b, obtained by inverting every column permutation."""
         cols = [self.column_permutation(j).inverse() for j in range(1, self.n + 1)]
@@ -252,11 +249,3 @@ def parse_matrix(text: str) -> QuandleMatrix:
     if len(rows) != n:
         raise QuandleParseError(f"expected {n} data rows, got {len(rows)}", len(text.splitlines()) or 1)
     return QuandleMatrix(rows)
-
-
-def verify_quandle(m: QuandleMatrix) -> VerificationReport:
-    return m.verify()
-
-
-def standardize(m: QuandleMatrix) -> QuandleMatrix:
-    return m.standardized()

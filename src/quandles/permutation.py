@@ -9,6 +9,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
 from operator import itemgetter
 
+from . import _kernel
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -118,9 +120,7 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of cycle lengths including fixed points, descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (self.degree - sum(lengths))
-        return tuple(sorted(lengths, reverse=True))
+        return _kernel.cycle_type([v - 1 for v in self.images])
 
     def order(self) -> int:
         return lcm(1, *(len(c) for c in self.cycles()))
@@ -233,14 +233,6 @@ class PermGroup:
                         new.append(prod)
             frontier = new
         return cls(degree, elements, _trusted=True)
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Permutation]) -> PermGroup:
-        """Build from an explicit element list, verifying closure."""
-        elems = list(elements)
-        if not elems:
-            raise ValueError("empty element list")
-        return cls(elems[0].degree, elems)
 
     @property
     def order(self) -> int:

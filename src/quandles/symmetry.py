@@ -32,6 +32,13 @@ def permute(m: QuandleMatrix, rho: Permutation) -> QuandleMatrix:
     return QuandleMatrix(out)
 
 
+def _flat(m: QuandleMatrix) -> bytes:
+    """m's bytes for the relabelling walk, which takes orders 1..MAX_ORDER only."""
+    if m.n > _kernel.MAX_ORDER:
+        raise ValueError(f"order must be in 1..{_kernel.MAX_ORDER}")
+    return m.flat()
+
+
 def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     """A witness rho with permute(a, rho) == b, or None.
 
@@ -44,8 +51,8 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     if a.n != b.n:
         return None
     n = a.n
-    least_a, w_a, aut_a, _ = _kernel.orbit(a.flat(), n)
-    least_b, w_b, _, _ = _kernel.orbit(b.flat(), n)
+    least_a, w_a, aut_a, _ = _kernel.orbit(_flat(a), n)
+    least_b, w_b, _, _ = _kernel.orbit(_flat(b), n)
     if least_a != least_b:
         return None
     # (w_b^-1 w_a s)(x) = w_b^-1(w_a(s(x))): s's image bytes translated through w_b^-1 w_a
@@ -63,12 +70,12 @@ def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
     """All permutations fixing m under the relabelling action: the stabilizer of one walk."""
-    return stabilizer_group(m.n, _kernel.orbit(m.flat(), m.n)[2])
+    return stabilizer_group(m.n, _kernel.orbit(_flat(m), m.n)[2])
 
 
 def np_count(m: QuandleMatrix) -> int:
     """Number of standard-form tables in m's class: n! / |Aut| (orbit-stabilizer)."""
-    return factorial(m.n) // len(_kernel.orbit(m.flat(), m.n)[2])
+    return factorial(m.n) // len(_kernel.orbit(_flat(m), m.n)[2])
 
 
 def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
@@ -78,7 +85,7 @@ def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
     are entrywise equal.  The least image comes from one walk that keeps
     no other image.
     """
-    return QuandleMatrix.from_flat(_kernel.canon_min(m.flat(), m.n), m.n)
+    return QuandleMatrix.from_flat(_kernel.canon_min(_flat(m), m.n), m.n)
 
 
 def determinant(m: QuandleMatrix) -> int:
@@ -120,10 +127,6 @@ class GroupId:
     order_histogram: tuple[tuple[int, int], ...]
     abelian: bool
     center_order: int
-
-    @property
-    def fingerprint(self) -> tuple:
-        return (self.order, self.order_histogram, self.abelian, self.center_order)
 
     def __str__(self) -> str:
         return self.label

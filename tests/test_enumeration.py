@@ -1,5 +1,6 @@
-import dataclasses
 import hashlib
+import inspect
+import itertools
 import math
 import re
 from collections import Counter
@@ -7,33 +8,30 @@ from collections import Counter
 import pytest
 
 from quandles import (
-    EnumerationOptions,
     QuandleMatrix,
     ResourceLimitError,
     all_tables,
     canonical_form,
-    column_candidates,
     enumerate_all,
     enumerate_classes,
     trivial,
 )
-from quandles import _kernel, cli, enumeration
+from quandles import _kernel, cli
 
 import tables
 
 
-def test_column_candidates_small():
-    assert column_candidates(3, 1) == [(1, 2, 3), (1, 3, 2)]
-    assert column_candidates(3, 2) == [(1, 2, 3), (3, 2, 1)]
-    for i in range(1, 6):
-        cols = column_candidates(5, i)
-        assert len(cols) == 24
-        assert all(col[i - 1] == i for col in cols)
-        assert cols == sorted(set(cols))  # all distinct, lexicographic
-    with pytest.raises(IndexError):
-        column_candidates(3, 4)
-    with pytest.raises(IndexError):
-        column_candidates(3, 0)
+def test_lift_gives_every_position_its_candidates():
+    # position i's candidates: the permutations of range(n) that fix i, in
+    # lexicographic order, (n - 1)! of them, lifted from one list
+    assert [_kernel.lift(p, 0) for p in itertools.permutations(range(2))] == [(0, 1, 2), (0, 2, 1)]
+    assert [_kernel.lift(p, 1) for p in itertools.permutations(range(2))] == [(0, 1, 2), (2, 1, 0)]
+    for n in range(1, 7):
+        base = list(itertools.permutations(range(n - 1)))
+        for i in range(n):
+            fixing_i = [col for col in itertools.permutations(range(n)) if col[i] == i]
+            assert len(fixing_i) == math.factorial(n - 1)
+            assert [_kernel.lift(p, i) for p in base] == fixing_i
 
 
 def test_stream_counts_and_first_element(matrices_for):
@@ -91,24 +89,31 @@ def test_every_table_row_appears_as_class(report_for):
 
 def test_resource_cap(monkeypatch):
     # order 5: 208 placements keep 33 tables, charged 5! relabellings each
-    enumerate_classes(5, EnumerationOptions(max_placements=4168))
+    enumerate_classes(5, cap=4168)
     monkeypatch.setattr(_kernel, "orbit", None)  # the budget is checked before any orbit walk
     with pytest.raises(ResourceLimitError) as exc:
-        enumerate_classes(5, EnumerationOptions(max_placements=4167))
+        enumerate_classes(5, cap=4167)
     assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (208, 3960, 4168)
     # order 4: the first kept table, after 4 placements, is charged 4! and passes the cap
     with pytest.raises(ResourceLimitError) as exc:
-        list(enumerate_all(4, EnumerationOptions(max_placements=20)))
+        list(enumerate_all(4, cap=20))
     assert (exc.value.placements, exc.value.relabellings, exc.value.charged) == (4, 24, 28)
 
 
-def test_options_validation():
-    # the placement budget is the only setting
-    assert [f.name for f in dataclasses.fields(EnumerationOptions)] == ["max_placements"]
-    with pytest.raises(ValueError):
-        EnumerationOptions(max_placements=0)
+def test_options_validation(monkeypatch):
+    # the budget is the only setting, one keyword-only cap, and it must be positive
     with pytest.raises(ValueError):
         list(enumerate_all(11))
+    monkeypatch.setattr(_kernel, "scan", None)  # a bad cap is rejected before any scan
+    for entry in (enumerate_classes, all_tables, enumerate_all):
+        params = inspect.signature(entry).parameters.values()
+        assert [(p.name, p.kind) for p in params] == [
+            ("n", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("cap", inspect.Parameter.KEYWORD_ONLY),
+        ]
+        assert inspect.signature(entry).parameters["cap"].default == _kernel.DEFAULT_CAP
+        with pytest.raises(ValueError, match="cap must be positive"):
+            list(entry(3, cap=0))
 
 
 def test_order6_classification_pinned(fastest_kernel, capsys):
@@ -180,8 +185,8 @@ def test_order8_classification_pinned(compiled, capsys):
 
 
 def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
-    flats = enumeration._scan_all(5, EnumerationOptions())
-    assert len(flats) == 33
+    flats, _, hit = _kernel.scan(5)
+    assert (len(flats), hit) == (33, False)
     kept_in_class = Counter()
     class_of = {}
     for k, rec in enumerate(enumerate_classes(5).classes):
@@ -194,7 +199,7 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
     assert len(dropped) == 18
     for k in dropped:
         partial = flats[:k] + flats[k + 1 :]
-        monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: partial)
+        monkeypatch.setattr(_kernel, "scan", lambda n, cap: (partial, 0, False))
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
             enumerate_classes(5)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
@@ -202,7 +207,7 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
     # and a table the scan should not have kept shows too, before or after its class
     stray = next(image for image in class_of if image not in flats)
     for extra in (flats + [stray], [stray] + flats):
-        monkeypatch.setattr(enumeration, "_scan_all", lambda n, opts: extra)
+        monkeypatch.setattr(_kernel, "scan", lambda n, cap: (extra, 0, False))
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch|walked twice"):
             enumerate_classes(5)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch|walked twice"):

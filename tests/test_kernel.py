@@ -11,7 +11,6 @@ from quandles import (
     QuandleMatrix,
     _kernel,
     all_tables,
-    column_candidates,
     enumerate_classes,
     permute,
 )
@@ -21,12 +20,21 @@ def _pure_scan(n, cap=_kernel.DEFAULT_CAP):
     return _kernel._scan_closure_pure(n, _kernel.cycle_type_ranks(n), cap)
 
 
+def _candidates(n, i):
+    """Position i's candidate columns by definition: the permutations of 1..n fixing i, in order."""
+    return [col for col in itertools.permutations(range(1, n + 1)) if col[i - 1] == i]
+
+
+def _cycle_type(col):
+    """Cycle lengths of a 1-based column, fixed points included, descending; not the kernel's walk."""
+    lengths = [len(c) for c in Permutation(col).cycles()]
+    return sorted(lengths + [1] * (len(col) - sum(lengths)), reverse=True)
+
+
 def _in_normal_form(cols):
     """R_0 has the table's greatest cycle type and is position 0's first candidate of that type."""
-    types = [Permutation(col).cycle_type() for col in cols]
-    first = next(
-        col for col in column_candidates(len(cols), 1) if Permutation(col).cycle_type() == types[0]
-    )
+    types = [_cycle_type(col) for col in cols]
+    first = next(col for col in _candidates(len(cols), 1) if _cycle_type(col) == types[0])
     return types[0] == max(types) and cols[0] == first
 
 
@@ -34,7 +42,7 @@ def _three_condition_reference(n):
     """Every candidate table that passes QuandleMatrix.verify(), in candidate order,
     and the normal-form ones among them."""
     valid, normal = [], []
-    for cols in itertools.product(*(column_candidates(n, i) for i in range(1, n + 1))):
+    for cols in itertools.product(*(_candidates(n, i) for i in range(1, n + 1))):
         flat = bytes(cols[j][i] for i in range(n) for j in range(n))
         if QuandleMatrix.from_flat(flat, n).verify().valid:
             valid.append(flat)

@@ -6,7 +6,6 @@ from quandles import (
     dihedral,
     parse_matrix,
     trivial,
-    verify_quandle,
 )
 from quandles.permutation import Permutation
 
@@ -59,8 +58,8 @@ def test_constructor_rejects_bad_shapes():
 
 
 def test_verify_valid():
-    assert verify_quandle(dihedral(3)).valid
-    assert verify_quandle(trivial(5)).valid
+    assert dihedral(3).verify().valid
+    assert trivial(5).verify().valid
     assert QuandleMatrix(tables.TRANSPOSITION_6).verify().valid
 
 

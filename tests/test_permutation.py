@@ -77,6 +77,7 @@ def test_cycle_type_and_order():
     assert rho.cycle_type() == (3, 2)
     assert rho.order() == 6
     assert Permutation.identity(3).cycle_type() == (1, 1, 1)
+    assert Permutation.parse("(2 4)", 5).cycle_type() == (2, 1, 1, 1)
 
 
 def test_all_permutations_lexicographic():
@@ -94,9 +95,9 @@ def test_group_generate_symmetric():
 
 def test_group_closure_verification():
     with pytest.raises(ValueError):
-        PermGroup.from_elements([Permutation.identity(3), Permutation.parse("(1 2 3)", 3)])
-    g = PermGroup.from_elements(
-        [Permutation.identity(3), Permutation.parse("(1 2 3)", 3), Permutation.parse("(1 3 2)", 3)]
+        PermGroup(3, [Permutation.identity(3), Permutation.parse("(1 2 3)", 3)])
+    g = PermGroup(
+        3, [Permutation.identity(3), Permutation.parse("(1 2 3)", 3), Permutation.parse("(1 3 2)", 3)]
     )
     assert g.order == 3
 
