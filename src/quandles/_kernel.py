@@ -1,7 +1,8 @@
 """Hot-loop kernels with backend selection.
 
-The exhaustive column scan and the relabelling walk dominate runtime, so
-both exist twice: compiled (quandles._speedups, hand-written C in
+Three kernels dominate runtime: the column scan, the relabelling walk and
+the one-pass invariants of a permutation group, which label every Aut.
+Each exists twice: compiled (quandles._speedups, hand-written C in
 _speedups.c) and pure Python.  The compiled module is picked at import
 when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
 backends are required to return byte-identical results, including the
@@ -10,10 +11,11 @@ placement counts used for resource capping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
-from math import factorial
+from math import factorial, lcm
 
 MAX_ORDER = 10  # entries are single bytes and the scan state is fixed-size
 DEFAULT_CAP = 10**9  # the budget of scan and of an enumeration
@@ -57,12 +59,15 @@ def cycle_type(perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+@functools.lru_cache(maxsize=MAX_ORDER)
 def cycle_type_ranks(n: int) -> bytes:
     """The cycle-type rank of every permutation of range(n - 1), in lexicographic order.
 
     Its k-th byte is also the rank of every position's k-th candidate
     column, since lifting adds one fixed point to every type.  Ranks order
-    the types as tuples (cycle lengths sorted descending).
+    the types as tuples (cycle lengths sorted descending).  Computed once
+    per order and process: the (n - 1)! cycle walks are most of a scan's
+    set-up at order 10, and the result is immutable.
     """
     shared: dict = {}  # one tuple per type, not one per permutation
     types = [shared.setdefault(t, t) for t in map(cycle_type, itertools.permutations(range(n - 1)))]
@@ -257,3 +262,82 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
 def canon_min(flat: bytes, n: int) -> bytes:
     """Lexicographically least relabelling of a table, from one walk that keeps no image."""
     return orbit(flat, n)[0]
+
+
+MAX_DEGREE = 255  # a permutation's image array is one byte per point
+
+# (element-order histogram, strong generating set, center order)
+Invariants = tuple[tuple[tuple[int, int], ...], tuple[bytes, ...], int]
+
+
+def group_invariants(blob: bytes, n: int) -> Invariants:
+    """The invariants of a permutation group from one pass over its elements.
+
+    `blob` is the concatenation of every element's 1-based image bytes, in
+    any order; n is the degree, 1..MAX_DEGREE.  Each element's order is the
+    lcm of its cycle lengths.  Per pair (least moved point i, image j of i)
+    the least element with that pair is kept: an element whose least moved
+    point is i fixes 1..i-1, so these are the coset representatives of the
+    stabilizer chain G ⊇ G_1 ⊇ G_{1,2} ⊇ …, a strong generating set (Sims
+    1970), least image bytes first; with every element at hand no
+    Schreier–Sims closure is needed.  The center is the elements that
+    commute with those generators.  Closure is not checked.  Raises
+    ValueError unless 1 <= n <= MAX_DEGREE, the blob is a nonempty whole
+    number of elements, every entry lies in 1..n (the first that does not,
+    in blob order, is named) and each element is a permutation: a cycle of
+    the walk that does not close on its start shows a repeated image.
+    """
+    if _speedups is not None:
+        return _speedups.group_invariants(blob, n)
+    return _group_invariants_pure(blob, n)
+
+
+def _group_invariants_pure(blob: bytes, n: int) -> Invariants:
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
+    if not blob or len(blob) % n:
+        raise ValueError(f"blob length {len(blob)} is not a positive multiple of {n}")
+    stray = blob.translate(None, bytes(range(1, n + 1)))
+    if stray:
+        raise ValueError(f"entry {stray[0]} outside 1..{n}")
+    words = [blob[k : k + n] for k in range(0, len(blob), n)]
+    counts: Counter = Counter()
+    reps: dict[tuple[int, int], bytes] = {}
+    rng = range(n)
+    for k, p in enumerate(words):
+        seen = [False] * n
+        order = 1
+        key = None
+        for s in rng:
+            x = p[s] - 1
+            # a fixed point is left unmarked: a walk that enters one ends off its start
+            if x == s or seen[s]:
+                continue
+            seen[s] = True
+            length = 1
+            while not seen[x]:
+                seen[x] = True
+                x = p[x] - 1
+                length += 1
+            if x != s:
+                raise ValueError(f"element {k} is not a permutation of 1..{n}")
+            order = lcm(order, length)
+            # the first nontrivial cycle starts at the least moved point
+            if key is None:
+                key = (s, p[s])
+        counts[order] += 1
+        if key is not None:
+            r = reps.get(key)
+            if r is None or p < r:
+                reps[key] = p
+    strong = tuple(sorted(reps.values()))
+    # z commutes with g iff z∘g and g∘z have the same image bytes; a
+    # translate table sends v to the image of v
+    head, tail = b"\0", bytes(range(n + 1, 256))
+    tables = [(g, head + g + tail) for g in strong]
+    center = 0
+    for z in words:
+        z_of = head + z + tail
+        if all(g.translate(z_of) == z.translate(g_of) for g, g_of in tables):
+            center += 1
+    return tuple(sorted(counts.items())), strong, center

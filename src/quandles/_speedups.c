@@ -1,10 +1,12 @@
-/* Compiled kernels for quandles._kernel: the column scan and the relabelling walk.
+/* Compiled kernels for quandles._kernel: the column scan, the relabelling
+   walk and the one-pass invariants of a permutation group.
 
-   Both must stay observably identical to the pure-Python versions in
+   All three must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
-   and the same ValueError on malformed input.  Orders are capped at 10, so
-   fixed-size buffers suffice; every index that reaches a buffer is checked
-   against the order before the loops start.
+   and the same ValueError on malformed input.  Orders are capped at 10 and
+   group degrees at 255, so fixed-size buffers suffice; every index that
+   reaches a buffer is checked against the order or degree before the loops
+   start.
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -368,16 +370,139 @@ fail:
     return NULL;
 }
 
+PyDoc_STRVAR(group_invariants_doc,
+"group_invariants(blob, n) -> (histogram, strong, center)\n\n"
+"Mirror of quandles._kernel._group_invariants_pure: one pass over the\n"
+"elements of a permutation group of degree n <= 255, concatenated as 1-based\n"
+"image bytes, gives the element-order histogram, the strong generating set\n"
+"of least coset representatives as bytes, least first, and the center order.");
+
+static PyObject *
+group_invariants(PyObject *self, PyObject *args)
+{
+    Py_buffer view;
+    int n;
+    if (!PyArg_ParseTuple(args, "y*i", &view, &n))
+        return NULL;
+    const unsigned char *blob = (const unsigned char *)view.buf;
+    PyObject *result = NULL, *hist = NULL, *strong = NULL;
+    /* rep[i * n + j]: 1 + the least element whose least moved point i goes to j, or 0 */
+    Py_ssize_t *rep = NULL, m = 0, k, n_bins = 0, n_strong = 0, center = 0;
+    struct { unsigned long long order; Py_ssize_t count; } *bins = NULL; /* by order */
+    if (n < 1 || n > 255) {
+        PyErr_SetString(PyExc_ValueError, "degree must be in 1..255");
+        goto done;
+    }
+    if (view.len == 0 || view.len % n) {
+        PyErr_Format(PyExc_ValueError, "blob length %zd is not a positive multiple of %d", view.len, n);
+        goto done;
+    }
+    for (k = 0; k < view.len; k++)
+        if (blob[k] < 1 || blob[k] > n) {
+            PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", blob[k], n);
+            goto done;
+        }
+    m = view.len / n;
+    rep = PyMem_Calloc(n * n, sizeof *rep);
+    bins = PyMem_Malloc(m * sizeof *bins);
+    if (rep == NULL || bins == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (k = 0; k < m; k++) {
+        const unsigned char *p = blob + k * n;
+        unsigned char seen[255];
+        memset(seen, 0, n);
+        unsigned long long order = 1; /* Landau's g(255) < 2**52 */
+        int key = -1;
+        for (int s = 0; s < n; s++) {
+            int x = s, length = 0;
+            while (!seen[x]) {
+                seen[x] = 1;
+                x = p[x] - 1;
+                length++;
+            }
+            if (x != s) {
+                PyErr_Format(PyExc_ValueError, "element %zd is not a permutation of 1..%d", k, n);
+                goto done;
+            }
+            if (length > 1) {
+                unsigned long long multiple = order;
+                while (multiple % length)
+                    multiple += order;
+                order = multiple;
+                if (key < 0) /* the first nontrivial cycle starts at the least moved point */
+                    key = s * n + p[s] - 1;
+            }
+        }
+        Py_ssize_t b = 0;
+        while (b < n_bins && bins[b].order < order)
+            b++;
+        if (b == n_bins || bins[b].order != order) {
+            memmove(bins + b + 1, bins + b, (n_bins++ - b) * sizeof *bins);
+            bins[b].order = order;
+            bins[b].count = 0;
+        }
+        bins[b].count++;
+        if (key >= 0 && (!rep[key] || memcmp(p, blob + (rep[key] - 1) * n, n) < 0)) {
+            n_strong += !rep[key];
+            rep[key] = k + 1;
+        }
+    }
+    hist = PyTuple_New(n_bins);
+    strong = PyTuple_New(n_strong);
+    if (hist == NULL || strong == NULL)
+        goto done;
+    for (k = 0; k < n_bins; k++) {
+        PyObject *pair = Py_BuildValue("(Kn)", bins[k].order, bins[k].count);
+        if (pair == NULL)
+            goto done;
+        PyTuple_SET_ITEM(hist, k, pair);
+    }
+    /* a later least moved point i means a smaller element; within one, a
+       smaller image j, which exceeds i since 1..i-1 are fixed */
+    k = 0;
+    for (int i = n - 1; i >= 0; i--)
+        for (int j = i + 1; j < n; j++)
+            if (rep[i * n + j]) {
+                PyObject *w = PyBytes_FromStringAndSize((const char *)blob + (rep[i * n + j] - 1) * n, n);
+                if (w == NULL)
+                    goto done;
+                PyTuple_SET_ITEM(strong, k++, w);
+            }
+    /* z commutes with g iff z(g(x)) == g(z(x)) for every x */
+    for (k = 0; k < m; k++) {
+        const unsigned char *z = blob + k * n;
+        int central = 1;
+        for (Py_ssize_t g = 0; g < n_strong && central; g++) {
+            const unsigned char *q = (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(strong, g));
+            for (int x = 0; x < n && central; x++)
+                central = z[q[x] - 1] == q[z[x] - 1];
+        }
+        center += central;
+    }
+    result = Py_BuildValue("(OOn)", hist, strong, center);
+done:
+    Py_XDECREF(hist);
+    Py_XDECREF(strong);
+    PyMem_Free(rep);
+    PyMem_Free(bins);
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS, scan_doc},
     {"orbit", orbit, METH_VARARGS, orbit_doc},
+    {"group_invariants", group_invariants, METH_VARARGS, group_invariants_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "quandles._speedups",
-    .m_doc = "Compiled scan and relabelling-walk kernels; see quandles._kernel.",
+    .m_doc = "Compiled kernels for quandles._kernel: the column scan, the relabelling walk\n"
+             "and the one-pass invariants of a permutation group.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -13,7 +13,7 @@ import sys
 from math import factorial
 
 from . import construct
-from ._kernel import DEFAULT_CAP, backend
+from ._kernel import DEFAULT_CAP, MAX_ORDER, backend
 from .enumeration import (
     EnumerationReport,
     ResourceLimitError,
@@ -57,12 +57,18 @@ class _Invalid(Exception):
         self.message = message
 
 
-def _load(path: str) -> QuandleMatrix:
-    """Parse, verify, and standardize one matrix argument."""
+def _load(path: str, *, walked: bool = False) -> QuandleMatrix:
+    """Parse, verify, and standardize one matrix argument.
+
+    A table for the relabelling walk (`walked`), which takes orders
+    1..MAX_ORDER only, is rejected past that before its n^3 verify.
+    """
     try:
         m = parse_matrix(_read_text(path))
     except (OSError, QuandleParseError) as exc:
         raise _Invalid(f"{path}: {exc}") from exc
+    if walked and m.n > MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
     report = m.verify()
     if not report.valid:
         raise _Invalid(f"{path}: invalid: {_failure_text(report)}")
@@ -88,7 +94,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    m = _load(args.file)
+    m = _load(args.file, walked=True)
     aut = automorphism_group(m)
     print(f"n: {m.n}")
     print(f"trace: {m.trace()}")
@@ -102,8 +108,8 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    a = _load(args.file_a)
-    b = _load(args.file_b)
+    a = _load(args.file_a, walked=True)
+    b = _load(args.file_b, walked=True)
     witness = are_isomorphic(a, b)
     if witness is None:
         print("not isomorphic")
@@ -113,7 +119,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    m = _load(args.file)
+    m = _load(args.file, walked=True)
     aut = automorphism_group(m)
     print(f"order: {aut.order}")
     print(f"label: {identify_group(aut).label}")
@@ -123,12 +129,12 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    print(canonical_form(_load(args.file)).to_text())
+    print(canonical_form(_load(args.file, walked=True)).to_text())
     return EXIT_OK
 
 
 def _cmd_np(args) -> int:
-    print(np_count(_load(args.file)))
+    print(np_count(_load(args.file, walked=True)))
     return EXIT_OK
 
 

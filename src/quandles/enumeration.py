@@ -139,11 +139,14 @@ def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
 def enumerate_all(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> Iterator[QuandleMatrix]:
     """Every standard-form quandle table of order n, exactly once, in all_tables order.
 
-    Raises ResourceLimitError before yielding anything when the budget is
-    too small; under the default cap that happens first at n = 9.
+    The tables are found at the call, so an order outside 1..MAX_ORDER or
+    a cap below 1 raises ValueError there, as all_tables does, and so does
+    ResourceLimitError when the budget is too small; under the default cap
+    that happens first at n = 9.  Each QuandleMatrix is made as it is
+    iterated.
     """
-    for flat in all_tables(n, cap=cap):
-        yield QuandleMatrix.from_flat(flat, n)
+    flats = all_tables(n, cap=cap)
+    return (QuandleMatrix.from_flat(flat, n) for flat in flats)
 
 
 def enumerate_classes(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> EnumerationReport:

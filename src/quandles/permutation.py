@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from math import lcm
-from operator import itemgetter
 
 from . import _kernel
 
@@ -183,34 +181,75 @@ def orbit_partition(
 
 
 class PermGroup:
-    """A set of permutations of one degree, closed under composition and inverse."""
+    """A permutation group of degree 1..255, held as the 1-based image bytes of its elements.
 
-    __slots__ = ("degree", "_elements", "_sorted", "_cache")
+    Bytes order like image tuples, so elements() lists the Permutations in
+    the order of their images; they are made only on request, by
+    elements(), iteration and generators().
+    """
 
-    def __init__(self, degree: int, elements: Iterable[Permutation], *, _trusted: bool = False):
-        elems = frozenset(elements)
-        if not elems:
-            elems = frozenset([Permutation.identity(degree)])
-        for g in elems:
+    __slots__ = ("degree", "_words", "_sorted", "_cache")
+
+    def __init__(self, degree: int, elements: Iterable[Permutation]):
+        """The group of the given permutations, or the trivial group for none.
+
+        Raises ValueError on a degree outside 1..255, mixed degrees, or a
+        set not closed under composition; closure is checked by generating
+        the set from its strong generating set, never leaving it.
+        """
+        words = set()
+        for g in elements:
             if g.degree != degree:
                 raise ValueError("mixed degrees in group")
-        if not _trusted:
-            for g in elems:
-                if g.inverse() not in elems:
-                    raise ValueError(f"not closed under inverse: {g}")
-                for h in elems:
-                    if g.compose(h) not in elems:
-                        raise ValueError(f"not closed under composition: {g} * {h}")
+            words.add(bytes(g.images))
+        self._hold(degree, words)
+        if self._closure(degree, self._invariants()[1], self._words) != self._words:
+            raise ValueError("not closed under composition")
+
+    def _hold(self, degree: int, words: Iterable[bytes]) -> None:
+        if not 1 <= degree <= _kernel.MAX_DEGREE:
+            raise ValueError(f"degree must be in 1..{_kernel.MAX_DEGREE}")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_elements", elems)
+        object.__setattr__(self, "_words", frozenset(words) or frozenset([bytes(range(1, degree + 1))]))
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_cache", None)
+
+    @classmethod
+    def _of_words(cls, degree: int, words: Iterable[bytes]) -> PermGroup:
+        """The group whose elements are the image bytes `words`, which must form one."""
+        group = object.__new__(cls)
+        group._hold(degree, words)
+        return group
 
     def __setattr__(self, name, value):
         if name in ("_sorted", "_cache"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("PermGroup is immutable")
+
+    @staticmethod
+    def _closure(degree: int, generators: Iterable[bytes], within: frozenset | None = None) -> set[bytes]:
+        """Breadth-first closure of the image bytes `generators` from the identity.
+
+        h∘g is g's bytes translated through h's images.  With `within`, the
+        first product outside it raises ValueError instead.
+        """
+        tail = bytes(range(degree + 1, 256))
+        tables = [b"\0" + h + tail for h in generators]
+        frontier = [bytes(range(1, degree + 1))]
+        elements = set(frontier)
+        while frontier:
+            new = []
+            for g in frontier:
+                for table in tables:
+                    prod = g.translate(table)
+                    if prod not in elements:
+                        if within is not None and prod not in within:
+                            raise ValueError("not closed under composition")
+                        elements.add(prod)
+                        new.append(prod)
+            frontier = new
+        return elements
 
     @classmethod
     def generate(cls, generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:
@@ -220,87 +259,37 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree required for the empty generating set")
             degree = gens[0].degree
-        elements = {Permutation.identity(degree)}
-        frontier = [g for g in gens if g not in elements]
-        elements.update(frontier)
-        while frontier:
-            new = []
-            for g in frontier:
-                for h in gens:
-                    prod = h.compose(g)
-                    if prod not in elements:
-                        elements.add(prod)
-                        new.append(prod)
-            frontier = new
-        return cls(degree, elements, _trusted=True)
+        if not 1 <= degree <= _kernel.MAX_DEGREE:
+            raise ValueError(f"degree must be in 1..{_kernel.MAX_DEGREE}")
+        if any(g.degree != degree for g in gens):
+            raise ValueError("mixed degrees in group")
+        return cls._of_words(degree, cls._closure(degree, [bytes(g.images) for g in gens]))
 
     @property
     def order(self) -> int:
-        return len(self._elements)
+        return len(self._words)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._words)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._elements
+        return isinstance(p, Permutation) and p.degree == self.degree and bytes(p.images) in self._words
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements())
 
     def elements(self) -> tuple[Permutation, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._elements))
+            self._sorted = tuple(Permutation._unchecked(tuple(w)) for w in sorted(self._words))
         return self._sorted
 
-    def _invariants(self) -> tuple:
+    def _invariants(self) -> _kernel.Invariants:
         """(element-order histogram, strong generating set, center order), cached.
 
-        One pass over the image tuples takes each element's order from its
-        cycle lengths and keeps, for each pair (least moved point i, image
-        j of i), the least element with that pair.  An element whose least
-        moved point is i fixes 1..i-1, so these are the coset
-        representatives of the stabilizer chain G ⊇ G_1 ⊇ G_{1,2} ⊇ …, a
-        strong generating set (Sims 1970); every element is already at hand,
-        so no Schreier–Sims closure is needed.  The center is then the
-        elements that commute with those generators.
+        One pass of _kernel.group_invariants over the elements' bytes.
         """
         if self._cache is None:
-            n = self.degree
-            counts: Counter = Counter()
-            reps: dict[tuple[int, int], tuple[int, ...]] = {}
-            for g in self._elements:
-                p = g.images
-                seen = [False] * n
-                order = 1
-                key = None
-                for s in range(n):
-                    if seen[s]:
-                        continue
-                    length = 0
-                    x = s
-                    while not seen[x]:
-                        seen[x] = True
-                        x = p[x] - 1
-                        length += 1
-                    if length > 1:
-                        order = lcm(order, length)
-                        # the first nontrivial cycle starts at the least moved point
-                        if key is None:
-                            key = (s, p[s])
-                counts[order] += 1
-                if key is not None:
-                    r = reps.get(key)
-                    if r is None or p < r:
-                        reps[key] = p
-            strong = tuple(sorted(reps.values()))
-            # z commutes with g iff z∘g and g∘z have the same image tuple
-            checks = [(itemgetter(*[x - 1 for x in g]), ((0,) + g).__getitem__) for g in strong]
-            center = sum(
-                1
-                for z in self._elements
-                if all(zg(z.images) == tuple(map(g_of, z.images)) for zg, g_of in checks)
-            )
-            self._cache = (tuple(sorted(counts.items())), strong, center)
+            self._cache = _kernel.group_invariants(b"".join(self._words), self.degree)
         return self._cache
 
     def generators(self) -> tuple[Permutation, ...]:
@@ -312,7 +301,7 @@ class PermGroup:
         PermGroup.generate(generators()) is the group again.  Not minimal;
         the identity group gives ().
         """
-        return tuple(Permutation._unchecked(g) for g in self._invariants()[1])
+        return tuple(Permutation._unchecked(tuple(g)) for g in self._invariants()[1])
 
     def is_abelian(self) -> bool:
         return self.center_order() == self.order

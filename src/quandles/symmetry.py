@@ -64,8 +64,8 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
 
 
 def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
-    """The group of the relabellings in a stabilizer list from _kernel.orbit."""
-    return PermGroup(n, (Permutation._unchecked(tuple(w)) for w in stabilizer), _trusted=True)
+    """The group of the relabellings in a stabilizer list from _kernel.orbit, held as its bytes."""
+    return PermGroup._of_words(n, stabilizer)
 
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
@@ -138,8 +138,9 @@ def _fingerprint(g: PermGroup) -> tuple:
     return (g.order, g.element_order_histogram(), center == g.order, center)
 
 
-@lru_cache(maxsize=1)
-def _label_table() -> dict[tuple, str]:
+def _named_groups() -> list[tuple[str, PermGroup]]:
+    """The groups that labels name, each generated from a few permutations."""
+
     def cyc(*entries) -> Permutation:
         n = max(x for c in entries for x in c)
         return Permutation.from_cycles(n, entries)
@@ -167,9 +168,14 @@ def _label_table() -> dict[tuple, str]:
         ("S4", [pad(cyc((1, 2)), 4), cyc((1, 2, 3, 4))]),
         ("S5", [pad(cyc((1, 2)), 5), cyc((1, 2, 3, 4, 5))]),
     ]
+    return [(label, PermGroup.generate(gens)) for label, gens in named]
+
+
+@lru_cache(maxsize=1)
+def _label_table() -> dict[tuple, str]:
     table: dict[tuple, str] = {}
-    for label, gens in named:
-        fp = _fingerprint(PermGroup.generate(gens))
+    for label, group in _named_groups():
+        fp = _fingerprint(group)
         if fp in table:
             raise RuntimeError(f"fingerprint collision: {label} vs {table[fp]}")
         table[fp] = label

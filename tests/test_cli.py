@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from quandles import _kernel, dihedral, parse_matrix, trivial
+from quandles import QuandleMatrix, _kernel, dihedral, parse_matrix, trivial
 from quandles.cli import main
 
 import tables
@@ -270,14 +270,14 @@ def test_props_order10_walks_without_holding_the_orbit(compiled, tmp_path):
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
 def test_relabelling_commands_reject_orders_past_ten(kernel, request, capsys, monkeypatch, tmp_path):
-    # one message on both kernels, checked before the table is encoded.  From
-    # order 256 on an entry no longer fits a byte and no kernel is reached, so
-    # that order runs once: each load verifies n^3 triples, about a second here
+    # one message on both kernels, checked after parsing and before the n^3
+    # verify; from order 256 on an entry no longer fits a byte
     if kernel == "c":
         request.getfixturevalue("compiled")
     else:
         monkeypatch.setattr(_kernel, "_speedups", None)
-    for n in (11, 256) if kernel == "python" else (11,):
+    monkeypatch.setattr(QuandleMatrix, "verify", None)
+    for n in (11, 256):
         path = _write(tmp_path, f"trivial{n}.txt", trivial(n).rows)
         for argv in (["props", path], ["canon", path], ["np", path], ["aut", path], ["iso", path, path]):
             assert _run(capsys, argv) == (1, "", "error: order must be in 1..10\n")

@@ -101,9 +101,10 @@ def test_resource_cap(monkeypatch):
 
 
 def test_options_validation(monkeypatch):
-    # the budget is the only setting, one keyword-only cap, and it must be positive
+    # the budget is the only setting, one keyword-only cap, and it must be
+    # positive; every entry point raises at the call, before iteration
     with pytest.raises(ValueError):
-        list(enumerate_all(11))
+        enumerate_all(11)
     monkeypatch.setattr(_kernel, "scan", None)  # a bad cap is rejected before any scan
     for entry in (enumerate_classes, all_tables, enumerate_all):
         params = inspect.signature(entry).parameters.values()
@@ -113,7 +114,7 @@ def test_options_validation(monkeypatch):
         ]
         assert inspect.signature(entry).parameters["cap"].default == _kernel.DEFAULT_CAP
         with pytest.raises(ValueError, match="cap must be positive"):
-            list(entry(3, cap=0))
+            entry(3, cap=0)
 
 
 def test_order6_classification_pinned(fastest_kernel, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -65,6 +66,12 @@ def test_cycle_type_ranks():
             lifted = [_kernel.lift(p, i) for p in base]
             assert lifted == [col for col in itertools.permutations(range(n)) if col[i] == i]
             assert [types.index(_kernel.cycle_type(col)) for col in lifted] == list(ranks)
+
+
+def test_cycle_type_ranks_are_computed_once_per_order():
+    # every scan of one order shares one immutable rank table
+    for n in (4, 10):
+        assert _kernel.cycle_type_ranks(n) is _kernel.cycle_type_ranks(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -197,6 +204,69 @@ def test_orbit_rejects_unknown_keep(orbit_backend):
     for keep in (_kernel.KEEP_NONE - 1, _kernel.KEEP_ALL + 1):
         with pytest.raises(ValueError):
             orbit_backend(flat, 2, keep)
+
+
+@pytest.fixture(params=["python", "c"])
+def invariants_backend(request):
+    if request.param == "python":
+        return _kernel._group_invariants_pure
+    return request.getfixturevalue("compiled").group_invariants
+
+
+@pytest.mark.parametrize(
+    "blob, n, message",
+    [
+        (b"", 3, "blob length 0 is not a positive multiple of 3"),
+        (b"\x01\x02\x03\x01", 3, "blob length 4 is not a positive multiple of 3"),
+        (b"\x01", 0, "degree must be in 1..255"),
+        (bytes(range(256)), 256, "degree must be in 1..255"),
+        (b"\x01\x02\x03\x02\x02\x03", 3, "element 1 is not a permutation of 1..3"),
+        (b"\x02\x03\x03", 3, "element 0 is not a permutation of 1..3"),
+        # range is checked over the whole blob first, in blob order
+        (b"\x01\x01\x03\x02\x00\x03", 3, "entry 0 outside 1..3"),
+        (b"\x01\x02\x04", 3, "entry 4 outside 1..3"),
+    ],
+)
+def test_group_invariants_rejects_malformed_input(invariants_backend, blob, n, message):
+    with pytest.raises(ValueError) as exc:
+        invariants_backend(blob, n)
+    assert str(exc.value) == message
+
+
+def test_group_invariants_backends_agree_on_random_blobs(compiled):
+    # the same result or the same ValueError text, whichever element or entry fails first
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        words = [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(1, 4))]
+        for word in words:
+            if rng.random() < 0.2:
+                word[rng.randrange(n)] = rng.choice([0, n + 1, rng.randint(1, n)])
+        blob = bytes(x for word in words for x in word)
+        outcomes = []
+        for kernel in (compiled.group_invariants, _kernel._group_invariants_pure):
+            try:
+                outcomes.append(kernel(blob, n))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_group_invariants_of_small_groups(invariants_backend):
+    # S3 in any element order: (histogram, least coset representatives, center)
+    s3 = [bytes(p) for p in itertools.permutations((1, 2, 3))]
+    expected = (((1, 1), (2, 3), (3, 2)), (b"\x01\x03\x02", b"\x02\x01\x03", b"\x03\x01\x02"), 1)
+    assert invariants_backend(b"".join(s3), 3) == expected
+    assert invariants_backend(b"".join(reversed(s3)), 3) == expected
+    assert invariants_backend(b"\x01", 1) == (((1, 1),), (), 1)
+    # closure is not checked, so the identity and one element of degree 255 will
+    # do: its order lcm(2, 3, 5, 7, 11, 13, 17, 19, 23, 29) = 6469693230 needs 64 bits
+    images, start = list(range(1, 256)), 0
+    for length in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        images[start : start + length] = images[start + 1 : start + length] + [start + 1]
+        start += length
+    hist, strong, center = invariants_backend(bytes(range(1, 256)) + bytes(images), 255)
+    assert (hist, strong, center) == (((1, 1), (6469693230, 1)), (bytes(images),), 2)
 
 
 def test_compiled_scan_rejects_malformed_ranks(compiled):

@@ -1,6 +1,9 @@
 import pytest
 
-from quandles import PermGroup, Permutation, all_permutations
+from quandles import PermGroup, Permutation, all_permutations, identify_group, trivial
+from quandles import _kernel
+from quandles.permutation import orbit_partition
+from quandles.symmetry import _label_table, stabilizer_group
 
 
 def test_identity():
@@ -130,3 +133,32 @@ def test_group_orbits():
     trivial = PermGroup.generate([], degree=3)
     assert trivial.order == 1
     assert trivial.orbits() == ((1,), (2,), (3,))
+
+
+def test_group_degree_range():
+    # elements are held as one byte per point
+    assert PermGroup.generate([Permutation.parse("(1 255)", 255)]).order == 2
+    for make in (lambda: PermGroup(256, []), lambda: PermGroup.generate([], degree=256),
+                 lambda: PermGroup.generate([Permutation.identity(256)]), lambda: PermGroup(0, [])):
+        with pytest.raises(ValueError, match="degree must be in 1..255"):
+            make()
+
+
+def test_stabilizer_group_makes_permutations_only_on_request(monkeypatch):
+    # the walk's stabilizer bytes are held as they are; labels, generators'
+    # bytes and orbits need no Permutation object
+    stabilizer = _kernel.orbit(trivial(4).flat(), 4)[2]
+    g = stabilizer_group(4, stabilizer)
+    _label_table()  # its named groups are generated from Permutations, once
+
+    def refuse(images):
+        raise AssertionError("Permutation made")
+
+    monkeypatch.setattr(Permutation, "_unchecked", staticmethod(refuse))
+    assert identify_group(g).label == "S4"
+    assert (g.order, g.center_order(), g.orbits()) == (24, 1, ((1, 2, 3, 4),))
+    assert Permutation.parse("(1 2)", 4) in g and Permutation.parse("(1 2)", 3) not in g
+    monkeypatch.undo()
+    assert [p.images for p in g.elements()] == [tuple(w) for w in stabilizer]
+    assert list(g) == list(g.elements()) == sorted(all_permutations(4))
+    assert g.orbits() == orbit_partition(4, (p.images for p in g.generators()))

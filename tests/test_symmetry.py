@@ -11,6 +11,7 @@ from quandles import (
     canonical_form,
     determinant,
     dihedral,
+    enumerate_classes,
     identify_group,
     np_count,
     permute,
@@ -18,7 +19,7 @@ from quandles import (
 )
 from quandles import _kernel
 from quandles.permutation import PermGroup, Permutation, all_permutations, orbit_partition
-from quandles.symmetry import _label_table, stabilizer_group
+from quandles.symmetry import _label_table, _named_groups, stabilizer_group
 
 import tables
 from reference import least_witness, np_count_explicit
@@ -199,17 +200,42 @@ def _assert_invariants_by_brute_force(g: PermGroup):
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_group_invariants_match_brute_force(backend, report_for, request, monkeypatch):
     # every Aut group of orders <= 6 (73 of them at order 6), built from each
-    # backend's stabilizer list
+    # backend's stabilizer list, then the named groups and S_1..S_6; each
+    # backend's group_invariants agrees with the pure one, in any element order
     if backend == "c":
         request.getfixturevalue("compiled")
     else:
         monkeypatch.setattr(_kernel, "_speedups", None)
     assert len(report_for(6).classes) == 73
+    groups = []
     for n in range(1, 7):
         for rec in report_for(n).classes:
             aut = stabilizer_group(n, _kernel.orbit(rec.representative.flat(), n)[2])
             assert aut.order == rec.aut_order
-            _assert_invariants_by_brute_force(aut)
+            groups.append(aut)
+    groups += [group for _, group in _named_groups()]
+    groups += [PermGroup(n, all_permutations(n)) for n in range(1, 7)]
+    for g in groups:
+        _assert_invariants_by_brute_force(g)
+        words = [bytes(p.images) for p in g]
+        for blob in (b"".join(words), b"".join(reversed(words))):
+            assert _kernel.group_invariants(blob, g.degree) == _kernel._group_invariants_pure(blob, g.degree)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_group_labels_agree_across_backends(n, compiled, report_for, monkeypatch):
+    # GroupId and the generator and orbit data of every class's Aut, from the
+    # compiled stabilizer lists; order 7 takes seconds on the pure walk, so
+    # the lists come from the compiled one and only the invariants switch
+    for rec in (report_for(n) if n < 7 else enumerate_classes(7)).classes:
+        stabilizer = _kernel.orbit(rec.representative.flat(), n)[2]
+        seen = []
+        for speedups in (None, compiled):  # the compiled kernel last, for the next walk
+            monkeypatch.setattr(_kernel, "_speedups", speedups)
+            aut = stabilizer_group(n, stabilizer)
+            seen.append((identify_group(aut), aut.order, aut.generators(), aut.orbits()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == rec.aut_id
 
 
 def test_label_table_fingerprints_are_distinct():
