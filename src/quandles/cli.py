@@ -174,12 +174,12 @@ def _print_classes_human(report: EnumerationReport) -> None:
 
 
 def _print_classes_machine(report: EnumerationReport) -> None:
-    for rec in report.classes:
-        print(rec.representative.to_machine_line())
-        print(
-            f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
-            f"latin={int(rec.latin)} connected={int(rec.connected)}"
-        )
+    sys.stdout.write("".join(
+        f"{rec.representative.to_machine_line()}\n"
+        f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
+        f"latin={int(rec.latin)} connected={int(rec.connected)}\n"
+        for rec in report.classes
+    ))
 
 
 # entry bytes 1..10 as one character each; ':' stands for 10 until the text is built

@@ -82,6 +82,7 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     if len(unclaimed) != len(flats):
         raise RuntimeError(f"the order-{n} scan emitted a table twice")
     walked = set()
+    types: dict[bytes, tuple[int, ...]] = {}  # column bytes -> cycle type, for this scan only
     for flat in flats:
         if flat not in unclaimed:
             continue
@@ -94,7 +95,7 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
             )
         walked.add(least)
         members = unclaimed.intersection(images)
-        expected = _kernel.normal_forms_in_class(flat, n, len(stabilizer))
+        expected = _kernel.normal_forms_in_class(flat, n, len(stabilizer), types)
         if keep == _kernel.KEEP_ALL:
             counted = len(images) * len(stabilizer) == factorial(n)
         else:
@@ -160,21 +161,21 @@ def enumerate_classes(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> EnumerationR
     connectivity flags.  Raises ResourceLimitError as all_tables does.
     """
     start = time.perf_counter()
-    records = []
+    keyed = []  # (representative bytes, record): bytes order like the row tuples
     for least, _, stabilizer, _ in _class_orbits(n, cap, _kernel.KEEP_COLUMN0):
         rep = QuandleMatrix.from_flat(least, n)
         aut = stabilizer_group(n, stabilizer)
-        records.append(
-            ClassRecord(
-                representative=rep,
-                aut_order=aut.order,
-                aut_id=identify_group(aut),
-                np=factorial(n) // aut.order,
-                latin=rep.is_latin(),
-                connected=rep.is_connected(),
-            )
+        record = ClassRecord(
+            representative=rep,
+            aut_order=aut.order,
+            aut_id=identify_group(aut),
+            np=factorial(n) // aut.order,
+            latin=rep.is_latin(),
+            connected=rep.is_connected(),
         )
-    records.sort(key=lambda rec: rec.representative.rows)
+        keyed.append((least, record))
+    keyed.sort(key=lambda pair: pair[0])
+    records = [record for _, record in keyed]
     return EnumerationReport(
         n=n,
         total_valid_matrices=sum(rec.np for rec in records),

@@ -80,7 +80,19 @@ class QuandleMatrix:
 
     @classmethod
     def from_flat(cls, flat: bytes | Iterable[int], n: int) -> QuandleMatrix:
-        """The n x n table with row-major entries `flat`; exactly n*n of them."""
+        """The n x n table with row-major entries `flat`; exactly n*n of them.
+
+        Checked as the constructor checks, with the same errors; bytes of
+        the right length are range-checked in one pass, by deleting the
+        entries 1..n and looking at what is left.
+        """
+        if isinstance(flat, bytes) and n >= 1 and len(flat) == n * n:
+            stray = flat.translate(None, bytes(range(1, min(n, 255) + 1)))
+            if stray:
+                raise ValueError(f"entry {stray[0]!r} outside 1..{n}")
+            table = object.__new__(cls)
+            object.__setattr__(table, "rows", tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+            return table
         flat = list(flat)
         if len(flat) != n * n:
             raise ValueError(f"flat table has {len(flat)} entries, an order-{n} table has {n * n}")
@@ -173,8 +185,8 @@ class QuandleMatrix:
 
     def is_latin(self) -> bool:
         """True when every row is also a permutation of {1..n}."""
-        full = set(range(1, self.n + 1))
-        return all(set(r) == full for r in self.rows)
+        n = self.n
+        return all(len(set(r)) == n for r in self.rows)  # entries lie in 1..n
 
     def inner_group(self) -> PermGroup:
         """Group generated by the column permutations and their inverses."""
@@ -190,8 +202,21 @@ class QuandleMatrix:
         return orbit_partition(self.n, zip(*self.rows))
 
     def is_connected(self) -> bool:
-        """True when the inner group acts transitively."""
-        return len(self.orbits()) == 1
+        """True when the inner group acts transitively; assumes a valid table.
+
+        R_j(i) is row i's entry j, so closing {1} under "take every entry of
+        the row" gives the orbit of 1 under the maps R_j; on a valid table
+        they are permutations and that is its orbit under the inner group.
+        """
+        rows = self.rows
+        reached = {1}
+        frontier = [1]
+        for i in frontier:  # grows as the loop runs
+            for v in rows[i - 1]:
+                if v not in reached:
+                    reached.add(v)
+                    frontier.append(v)
+        return len(reached) == len(rows)
 
     def to_text(self) -> str:
         """The interchange format: n lines of n space-separated integers."""

@@ -17,6 +17,7 @@ from quandles import (
     trivial,
 )
 from quandles import _kernel, cli
+from quandles.permutation import Permutation
 
 import tables
 
@@ -63,9 +64,48 @@ def test_report_invariants(report_for):
             assert canonical_form(rec.representative) == rec.representative
             assert rec.representative.verify().valid
             assert rec.latin == rec.representative.is_latin()
-            assert rec.connected == rec.representative.is_connected()
             if rec.latin:
                 assert rec.connected
+
+
+# (classes, connected classes, latin classes) for each order
+FLAG_COUNTS = {1: (1, 1, 1), 2: (1, 0, 0), 3: (3, 1, 1), 4: (7, 1, 1), 5: (22, 3, 3), 6: (73, 2, 0), 7: (298, 5, 5)}
+
+
+def test_flags_match_independent_definitions(fastest_kernel):
+    # connected: the inner group, generated by the columns, is transitive
+    # (its orbits come from the group's strong generating set, not from the
+    # row closure behind is_connected); latin: every row is a permutation
+    for n in range(1, 7):
+        classes = enumerate_classes(n).classes
+        for rec in classes:
+            rep = rec.representative
+            assert rec.connected == rep.inner_group().is_transitive()
+            assert rec.latin == all(sorted(row) == list(range(1, n + 1)) for row in rep.rows)
+        counts = (len(classes), sum(rec.connected for rec in classes), sum(rec.latin for rec in classes))
+        assert counts == FLAG_COUNTS[n]
+
+
+def _cycle_type(column):
+    lengths = [len(c) for c in Permutation(column).cycles()]
+    return tuple(sorted(lengths + [1] * (len(column) - sum(lengths)), reverse=True))
+
+
+def test_normal_forms_in_class_counts_the_scanned_tables_of_each_class(fastest_kernel):
+    # the scan check's prediction, against the count of scanned tables in each
+    # class's whole orbit; one types dict serves a whole order, as in a run
+    for n in range(1, 7):
+        flats = set(_kernel.scan(n)[0])
+        types = {}
+        for rec in enumerate_classes(n).classes:
+            _, _, stabilizer, images = _kernel.orbit(rec.representative.flat(), n, _kernel.KEEP_ALL)
+            members = flats.intersection(images)
+            assert members
+            for flat in members:
+                assert _kernel.normal_forms_in_class(flat, n, len(stabilizer), types) == len(members)
+                assert _kernel.normal_forms_in_class(flat, n, len(stabilizer), {}) == len(members)
+        # each distinct column of a scanned table has its cycle type, fixed points included
+        assert types == {flat[j::n]: _cycle_type(flat[j::n]) for flat in flats for j in range(n)}
 
 
 def test_latin_classes_order5(report_for):
@@ -163,6 +203,9 @@ def test_order7_classification_pinned(compiled, capsys):
         b"unidentified": 220, b"Z3xZ2": 40, b"S3xZ2": 13, b"D8": 11, b"Z2xZ2": 6,
         b"S4": 3, b"Z5": 2, b"Z4": 1, b"S3": 1, b"A4": 1,
     }
+    flags = (len(report.classes), stream.count(b"connected=1"), stream.count(b"latin=1"))
+    assert flags == FLAG_COUNTS[7]
+    assert all(rec.connected == rec.representative.inner_group().is_transitive() for rec in report.classes)
     # every table, from the class orbits: the stream the exhaustive scan used to emit
     assert cli.main(["enumerate", "7", "--all", "--machine"]) == 0
     stream = capsys.readouterr().out.encode()

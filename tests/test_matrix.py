@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from quandles import (
@@ -186,3 +189,23 @@ def test_from_flat_needs_exactly_n_squared_entries():
     for flat in (b"\x01\x01\x01\x01\x02", [1, 2, 1, 2, 2, 2, 2, 2, 2], [1, 1, 2], []):
         with pytest.raises(ValueError):
             QuandleMatrix.from_flat(flat, 2)
+
+
+def test_from_flat_checks_bytes_like_the_constructor(matrices_for):
+    for flat in (b"\x01\x00\x02\x02", b"\x01\x01\x03\x02", b"\x01\x01\x02", b"\x01" * 9):
+        with pytest.raises(ValueError):
+            QuandleMatrix.from_flat(flat, 2)
+    # every 2x2 byte table with entries 0..3: the same table, or the same error, as from a list
+    for entries in itertools.product(range(4), repeat=4):
+        try:
+            expected = QuandleMatrix.from_flat(list(entries), 2)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                QuandleMatrix.from_flat(bytes(entries), 2)
+        else:
+            assert QuandleMatrix.from_flat(bytes(entries), 2) == expected
+    for n in range(1, 5):
+        for m in matrices_for(n):
+            built = QuandleMatrix.from_flat(m.flat(), n)
+            assert built == QuandleMatrix.from_flat(list(m.flat()), n) == m
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in built.rows)
