@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from collections import Counter
 from math import factorial, lcm
@@ -96,6 +97,7 @@ def scan(n: int, *, cap: int = DEFAULT_CAP) -> tuple[list[bytes], int, bool]:
     that takes the charge past `cap`, returning (output so far, placements,
     True); otherwise it returns (every table, placements, False).
     """
+    cap = operator.index(cap)  # a non-integral cap is a TypeError on both backends, before any placement
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     ranks = cycle_type_ranks(n)

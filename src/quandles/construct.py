@@ -12,7 +12,7 @@ from math import gcd
 from collections.abc import Sequence
 
 from .matrix import QuandleMatrix
-from .permutation import Permutation
+from .permutation import Permutation, closure
 
 
 def trivial(n: int) -> QuandleMatrix:
@@ -157,18 +157,9 @@ def conjugation_class(
     Closes the class under conjugation by the group the generators produce,
     then orders the class by image array so the table is deterministic.
     """
-    gens = list(generators) + [g.inverse() for g in generators]
-    cls = {representative}
-    frontier = [representative]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = g.inverse().compose(x.compose(g))
-                if y not in cls:
-                    cls.add(y)
-                    new.append(y)
-        frontier = new
+    # conjugating by the generators alone reaches the group: it is finite
+    pairs = [(g.inverse(), g) for g in generators]
+    cls = closure([representative], lambda x: [g_inv.compose(x.compose(g)) for g_inv, g in pairs])
     return conjugation(sorted(cls), exponent)
 
 

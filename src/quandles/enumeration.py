@@ -18,6 +18,7 @@ the orbits is every standard-form table.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -46,6 +47,9 @@ class ResourceLimitError(RuntimeError):
         self.relabellings = relabellings
         self.cap = cap
 
+    def __reduce__(self):
+        return (ResourceLimitError, (self.n, self.placements, self.cap, self.relabellings))
+
 
 @dataclass(frozen=True)
 class EnumerationReport:
@@ -73,7 +77,7 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     for the whole orbit.  A scanned table outside the normal forms of its
     class shows as a class walked twice.
     """
-    if cap < 1:
+    if operator.index(cap) < 1:  # 0.5 is a TypeError, like every non-integral cap
         raise ValueError("cap must be positive")
     flats, placements, hit = _kernel.scan(n, cap=cap)
     if hit:
@@ -127,7 +131,8 @@ def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
     lexicographic order of the column tuples.  Raises ResourceLimitError
     before any orbit walk when the budget `cap` does not cover the scan and
     n! relabellings per scanned table; under the default cap that happens
-    first at n = 9.  A cap below 1 is a ValueError.
+    first at n = 9.  A cap below 1 is a ValueError, a non-integral one a
+    TypeError.
     """
     nn = n * n
     orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)

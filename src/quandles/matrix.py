@@ -18,16 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .permutation import PermGroup, Permutation, orbit_partition
+from .permutation import PermGroup, Permutation, closure, orbit_partition
 
 
 class QuandleParseError(ValueError):
-    """Malformed matrix text; carries 1-based line/column of the offence."""
+    """Malformed matrix text; carries the message and 1-based line/column of the offence."""
 
     def __init__(self, message: str, line: int, column: int = 0):
         super().__init__(f"line {line}" + (f", column {column}" if column else "") + f": {message}")
+        self.message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        return (QuandleParseError, (self.message, self.line, self.column))
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,9 @@ class QuandleMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuandleMatrix is immutable")
+
+    def __reduce__(self):
+        return (QuandleMatrix, (self.rows,))
 
     @property
     def n(self) -> int:
@@ -189,16 +196,11 @@ class QuandleMatrix:
         return all(len(set(r)) == n for r in self.rows)  # entries lie in 1..n
 
     def inner_group(self) -> PermGroup:
-        """Group generated by the column permutations and their inverses."""
-        gens: list[Permutation] = []
-        for j in range(1, self.n + 1):
-            f = self.column_permutation(j)
-            gens.append(f)
-            gens.append(f.inverse())
-        return PermGroup.generate(gens, self.n)
+        """Group generated by the column permutations; a finite group holds their inverses."""
+        return PermGroup.generate([self.column_permutation(j) for j in range(1, self.n + 1)], self.n)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition under the inner group, generated by the columns."""
+        """Orbit partition under the inner group, generated by the columns; assumes a valid table."""
         return orbit_partition(self.n, zip(*self.rows))
 
     def is_connected(self) -> bool:
@@ -209,14 +211,7 @@ class QuandleMatrix:
         they are permutations and that is its orbit under the inner group.
         """
         rows = self.rows
-        reached = {1}
-        frontier = [1]
-        for i in frontier:  # grows as the loop runs
-            for v in rows[i - 1]:
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
-        return len(reached) == len(rows)
+        return len(closure([1], lambda i: rows[i - 1])) == len(rows)
 
     def to_text(self) -> str:
         """The interchange format: n lines of n space-separated integers."""

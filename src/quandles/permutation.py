@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import lcm
 
 from . import _kernel
@@ -36,6 +36,9 @@ class Permutation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return (Permutation, (self.images,))
 
     @property
     def degree(self) -> int:
@@ -154,30 +157,37 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation._unchecked(images)
 
 
-def orbit_partition(
-    degree: int, maps: Iterable[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Orbits of {1..degree} under the maps, each a tuple of 1-based images.
+def closure(seeds: Iterable, step: Callable[[object], Iterable]) -> set:
+    """The set of items reached from `seeds` by repeated `step`, breadth first.
 
-    Union-find over the edges i -> map(i); blocks are sorted by least element.
+    step(x) lists the items one move from x; items must be hashable.
     """
-    parent = list(range(degree + 1))
+    reached = set(seeds)
+    queue = list(reached)
+    for x in queue:  # grows as the loop runs
+        for y in step(x):
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return reached
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for images in maps:
-        for i, v in enumerate(images, start=1):
-            a, b = find(i), find(v)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks: dict[int, list[int]] = {}
+def orbit_partition(degree: int, maps: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Orbits of {1..degree} under the maps, each the 1-based image tuple of a permutation.
+
+    Each block is the closure of its least point under the maps, followed
+    forward: for permutations, that is the orbit under the group they
+    generate.  Blocks are sorted and ordered by least element.
+    """
+    maps = list(maps)
+    blocks = []
+    seen: set[int] = set()
     for i in range(1, degree + 1):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+        if i not in seen:
+            block = closure([i], lambda x: [images[x - 1] for images in maps])
+            seen |= block
+            blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 class PermGroup:
@@ -227,29 +237,26 @@ class PermGroup:
         else:
             raise AttributeError("PermGroup is immutable")
 
+    def __reduce__(self):
+        return (PermGroup._of_words, (self.degree, self._words))
+
     @staticmethod
     def _closure(degree: int, generators: Iterable[bytes], within: frozenset | None = None) -> set[bytes]:
-        """Breadth-first closure of the image bytes `generators` from the identity.
+        """The closure of the identity under the image bytes `generators`.
 
         h∘g is g's bytes translated through h's images.  With `within`, the
-        first product outside it raises ValueError instead.
+        first step with a product outside it raises ValueError instead.
         """
         tail = bytes(range(degree + 1, 256))
         tables = [b"\0" + h + tail for h in generators]
-        frontier = [bytes(range(1, degree + 1))]
-        elements = set(frontier)
-        while frontier:
-            new = []
-            for g in frontier:
-                for table in tables:
-                    prod = g.translate(table)
-                    if prod not in elements:
-                        if within is not None and prod not in within:
-                            raise ValueError("not closed under composition")
-                        elements.add(prod)
-                        new.append(prod)
-            frontier = new
-        return elements
+
+        def step(g: bytes) -> list[bytes]:
+            products = list(map(g.translate, tables))
+            if within is not None and not within.issuperset(products):
+                raise ValueError("not closed under composition")
+            return products
+
+        return closure([bytes(range(1, degree + 1))], step)
 
     @classmethod
     def generate(cls, generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:

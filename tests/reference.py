@@ -14,6 +14,23 @@ def np_count_explicit(m: QuandleMatrix) -> int:
     return len(seen)
 
 
+def orbits_by_warshall(degree: int, maps) -> tuple[tuple[int, ...], ...]:
+    """Orbits of {1..degree} under the 1-based image tuples `maps`, from Warshall's transitive closure.
+
+    reach[i][j] says j is reached from i by the maps; for permutations the
+    relation is symmetric, so the orbit of i is the row of i.
+    """
+    reach = [[i == j for j in range(degree)] for i in range(degree)]
+    for images in maps:
+        for i, v in enumerate(images):
+            reach[i][v - 1] = True
+    for k in range(degree):
+        for i in range(degree):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return tuple(sorted({tuple(j + 1 for j in range(degree) if reach[i][j]) for i in range(degree)}))
+
+
 def least_witness(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     """The least relabelling (by image array) with permute(a, p) == b, by trying all n!, or None."""
     if a.n != b.n:

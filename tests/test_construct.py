@@ -11,7 +11,7 @@ from quandles import (
     make,
     trivial,
 )
-from quandles.permutation import Permutation
+from quandles.permutation import Permutation, all_permutations
 
 import tables
 
@@ -114,6 +114,12 @@ def test_conjugation_class_closure():
     built = conjugation_class(gens, Permutation.parse("(1 2)", 4))
     assert built.n == 6
     assert are_isomorphic(built, QuandleMatrix(tables.TRANSPOSITION_6)) is not None
+    # conjugating by S_4's two generators alone reaches every h^-1 x h, h in S_4
+    for text, size in (("(1 2)", 6), ("(1 2 3)", 8)):
+        x = Permutation.parse(text, 4)
+        brute = {h.inverse().compose(x.compose(h)) for h in all_permutations(4)}
+        assert len(brute) == size
+        assert conjugation_class(gens, x) == conjugation(sorted(brute))
 
 
 def test_make_syntax():

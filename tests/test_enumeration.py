@@ -157,6 +157,30 @@ def test_options_validation(monkeypatch):
             entry(3, cap=0)
 
 
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_non_integral_cap_is_a_type_error_on_both_backends(backend, request, monkeypatch):
+    if backend == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    assert _kernel.backend() == backend
+
+    ranks = _kernel.cycle_type_ranks
+
+    def no_scan(n):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(_kernel, "cycle_type_ranks", no_scan)
+    for entry in (enumerate_classes, all_tables, enumerate_all):
+        for cap in (1e9, 0.5):
+            with pytest.raises(TypeError):
+                entry(6, cap=cap)
+    monkeypatch.setattr(_kernel, "cycle_type_ranks", ranks)
+    # an integral cap past the C counter's range still runs on either backend
+    assert _kernel.backend() == backend
+    assert len(enumerate_classes(4, cap=10**30).classes) == 7
+
+
 def test_order6_classification_pinned(fastest_kernel, capsys):
     report = enumerate_classes(6)
     assert len(report.classes) == 73

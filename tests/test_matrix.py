@@ -13,6 +13,7 @@ from quandles import (
 from quandles.permutation import Permutation
 
 import tables
+from reference import orbits_by_warshall
 
 
 def test_parse_basic():
@@ -209,3 +210,12 @@ def test_from_flat_checks_bytes_like_the_constructor(matrices_for):
             built = QuandleMatrix.from_flat(m.flat(), n)
             assert built == QuandleMatrix.from_flat(list(m.flat()), n) == m
             assert all(type(row) is tuple and all(type(x) is int for x in row) for row in built.rows)
+
+
+def test_orbits_and_connected_match_warshall(matrices_for):
+    # every table of orders 1..5 against a transitive closure that shares no code with the BFS
+    for n in range(1, 6):
+        for m in matrices_for(n):
+            expected = orbits_by_warshall(n, zip(*m.rows))
+            assert m.orbits() == expected
+            assert m.is_connected() == (len(expected) == 1)

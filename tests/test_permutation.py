@@ -1,9 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from quandles import PermGroup, Permutation, all_permutations, identify_group, trivial
 from quandles import _kernel
 from quandles.permutation import orbit_partition
-from quandles.symmetry import _label_table, stabilizer_group
+from quandles.symmetry import _label_table, _named_groups, stabilizer_group
+
+from reference import orbits_by_warshall
 
 
 def test_identity():
@@ -162,3 +169,35 @@ def test_stabilizer_group_makes_permutations_only_on_request(monkeypatch):
     assert [p.images for p in g.elements()] == [tuple(w) for w in stabilizer]
     assert list(g) == list(g.elements()) == sorted(all_permutations(4))
     assert g.orbits() == orbit_partition(4, (p.images for p in g.generators()))
+
+
+def test_group_orbits_match_warshall():
+    # S_1..S_5, given as all their elements, and the 14 named groups, generated from a few
+    groups = [PermGroup(n, all_permutations(n)) for n in range(1, 6)]
+    groups += [group for _, group in _named_groups()]
+    assert len(groups) == 19
+    for g in groups:
+        expected = orbits_by_warshall(g.degree, (p.images for p in g.elements()))
+        assert g.orbits() == expected
+        assert g.is_transitive() == (len(expected) == 1)
+
+
+def test_closure_check_stops_at_the_first_product_outside_the_set():
+    # the strong generating set of these three spans S_255: a check that
+    # generated the whole closure before comparing would never end, so the
+    # child runs under a time and memory limit
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from quandles import PermGroup, Permutation
+elements = [Permutation.identity(255), Permutation.parse("(1 2)", 255),
+            Permutation.from_cycles(255, [range(2, 256)])]
+try:
+    PermGroup(255, elements)
+except ValueError as exc:
+    print(exc)
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout.strip() == "not closed under composition", out.stderr
