@@ -233,10 +233,30 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     greater than the least so far and differs from `flat`.
     Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n, every
     entry lies in 1..n and `keep` is one of the three.
+
+    The last KEEP_NONE walk of a bytes table is remembered, so canon, Aut,
+    np and iso queries on one table share one walk; each call still gets
+    its own stabilizer list and image set.  Walks that keep images are
+    never remembered.
     """
-    if _speedups is not None:
-        return _speedups.orbit(flat, n, keep)
+    if keep == KEEP_NONE and type(flat) is bytes:
+        least, witness, stabilizer = _last_walk(flat, n, keep, _speedups)
+        return least, witness, list(stabilizer), set()
+    return _walk(flat, n, keep, _speedups)
+
+
+def _walk(flat: bytes, n: int, keep: int, speedups) -> Walk:
+    if speedups is not None:
+        return speedups.orbit(flat, n, keep)
     return _orbit_pure(flat, n, keep)
+
+
+# one entry, keyed by the backend too, so a backend test never reads the
+# other backend's walk; typed, so a keep of 0.0 or False is not taken for 0
+@functools.lru_cache(maxsize=1, typed=True)
+def _last_walk(flat: bytes, n: int, keep: int, speedups) -> tuple[bytes, bytes, tuple[bytes, ...]]:
+    least, witness, stabilizer, _ = _walk(flat, n, keep, speedups)
+    return least, witness, tuple(stabilizer)
 
 
 def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:

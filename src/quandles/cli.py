@@ -61,7 +61,7 @@ def _load(path: str, *, walked: bool = False) -> QuandleMatrix:
     """Parse, verify, and standardize one matrix argument.
 
     A table for the relabelling walk (`walked`), which takes orders
-    1..MAX_ORDER only, is rejected past that before its n^3 verify.
+    1..MAX_ORDER only, is rejected past that before it is verified.
     """
     try:
         m = parse_matrix(_read_text(path))
@@ -173,15 +173,6 @@ def _print_classes_human(report: EnumerationReport) -> None:
         print(rec.representative.to_text())
 
 
-def _print_classes_machine(report: EnumerationReport) -> None:
-    sys.stdout.write("".join(
-        f"{rec.representative.to_machine_line()}\n"
-        f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
-        f"latin={int(rec.latin)} connected={int(rec.connected)}\n"
-        for rec in report.classes
-    ))
-
-
 # entry bytes 1..10 as one character each; ':' stands for 10 until the text is built
 _DIGITS = bytes.maketrans(bytes(range(1, 11)), b"123456789:")
 
@@ -193,6 +184,16 @@ def _machine_lines(flats: list[bytes], n: int) -> str:
     text[0::2] = b"".join(flats).translate(_DIGITS)
     text[1::2] = (b"," * (nn - 1) + b"\n") * len(flats)
     return text.replace(b":", b"10").decode()
+
+
+def _print_classes_machine(report: EnumerationReport) -> None:
+    tables = _machine_lines([rec.representative.flat() for rec in report.classes], report.n)
+    sys.stdout.write("".join(
+        f"{table}"
+        f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
+        f"latin={int(rec.latin)} connected={int(rec.connected)}\n"
+        for table, rec in zip(tables.splitlines(keepends=True), report.classes)
+    ))
 
 
 def _cmd_enumerate(args) -> int:

@@ -11,10 +11,16 @@ from quandles:
   (ii)  every column is a permutation of {1..n},
   (iii) t[t[i][j]][k] == t[t[i][k]][t[j][k]] for all i, j, k (checked in
         standard form).
+
+With R_j the column permutation i -> t[i][j], (iii) says R_k∘R_j =
+R_{R_k(j)}∘R_k for every pair (j, k): the condition is one equation between
+two compositions of columns per pair, and `verify` checks it that way.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -75,6 +81,13 @@ class QuandleMatrix:
                     raise ValueError(f"entry {x!r} outside 1..{n}")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> QuandleMatrix:
+        """Wrap rows that are square tuples of ints in 1..n by construction, unchecked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "rows", rows)
+        return table
+
     def __setattr__(self, name, value):
         raise AttributeError("QuandleMatrix is immutable")
 
@@ -97,9 +110,7 @@ class QuandleMatrix:
             stray = flat.translate(None, bytes(range(1, min(n, 255) + 1)))
             if stray:
                 raise ValueError(f"entry {stray[0]!r} outside 1..{n}")
-            table = object.__new__(cls)
-            object.__setattr__(table, "rows", tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
-            return table
+            return cls._unchecked(tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
         flat = list(flat)
         if len(flat) != n * n:
             raise ValueError(f"flat table has {len(flat)} entries, an order-{n} table has {n * n}")
@@ -107,7 +118,7 @@ class QuandleMatrix:
 
     def flat(self) -> bytes:
         """Row-major bytes of the 1-based entries (n ≤ 255)."""
-        return bytes(x for row in self.rows for x in row)
+        return bytes(itertools.chain.from_iterable(self.rows))
 
     def apply(self, i: int, j: int) -> int:
         """The product i▷j, i.e. the entry in row i, column j (1-based)."""
@@ -152,35 +163,33 @@ class QuandleMatrix:
             return self
         where = {v: i for i, v in enumerate(diag)}  # row whose diagonal holds v
         order = [where[v] for v in range(1, self.n + 1)]
-        return QuandleMatrix(
-            tuple(self.rows[i][j] for j in order) for i in order
-        )
+        return QuandleMatrix._unchecked(tuple(tuple(self.rows[i][j] for j in order) for i in order))
 
     def verify(self) -> VerificationReport:
-        """Check the three table conditions, reporting the first failure."""
+        """Check the three table conditions, reporting the first failure.
+
+        (i) and (ii) compare set sizes, and only a failed check looks for
+        its witness.  (iii) is checked in column form on the standardized
+        table: R_k∘R_j = R_{R_k(j)}∘R_k for every pair (j, k), where R_j is
+        column j as the permutation i -> i▷j.  Entry i of the two sides is
+        t[t[i][j]][k] and t[t[i][k]][t[j][k]], so the first failing triple
+        (i, j, k) is the least over the failing pairs, with i the first
+        point at which the pair's two compositions differ.
+        """
         n = self.n
         diag = self.diagonal()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if diag[i] == diag[j]:
-                    return VerificationReport(False, (("diagonal", (i + 1, j + 1)),))
-        std = self.standardized()
-        for j in range(n):
-            seen: dict[int, int] = {}
-            for i in range(n):
-                v = std.rows[i][j]
-                if v in seen:
-                    return VerificationReport(False, (("column", (seen[v] + 1, i + 1, j + 1)),))
-                seen[v] = i
-        t = std.rows
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tij = t[ti[j] - 1]
-                tj = t[j]
-                for k in range(n):
-                    if tij[k] != t[ti[k] - 1][tj[k] - 1]:
-                        return VerificationReport(False, (("distributivity", (i + 1, j + 1, k + 1)),))
+        if len(set(diag)) < n:
+            # the first point with a repeated value has all its repeats after it
+            i = next(i for i, v in enumerate(diag) if diag.count(v) > 1)
+            return VerificationReport(False, (("diagonal", (i + 1, diag.index(diag[i], i + 1) + 1)),))
+        columns = list(zip(*self.standardized().rows))
+        for j, col in enumerate(columns):
+            if len(set(col)) < n:
+                i = next(i for i, v in enumerate(col) if v in col[:i])
+                return VerificationReport(False, (("column", (col.index(col[i]) + 1, i + 1, j + 1)),))
+        triple = _first_nondistributive(columns)
+        if triple is not None:
+            return VerificationReport(False, (("distributivity", triple),))
         return VerificationReport(True, ())
 
     def dual(self) -> QuandleMatrix:
@@ -234,38 +243,85 @@ class QuandleMatrix:
         return self.to_text()
 
 
+def _first_nondistributive(columns: list[tuple[int, ...]]) -> tuple[int, int, int] | None:
+    """The least 1-based (i, j, k) with R_k(R_j(i)) != R_{R_k(j)}(R_k(i)), or None.
+
+    `columns` are the n columns of a standard-form table, each a
+    permutation of 1..n.  For each k, relabelling all the columns joined
+    together through R_k gives R_k∘R_j for every j, and relabelling column
+    k through each R_{R_k(j)} gives the other sides; the two are compared
+    whole.  Up to order 255 a column is bytes and a relabelling one
+    bytes.translate; past that, entries do not fit a byte, and tuples and
+    itemgetter stand in.
+    """
+    n = len(columns)
+    # sides yields, per k, both sides for every j, joined in order of j
+    if n <= 255:
+        cols = [bytes(c) for c in columns]
+        pad = bytes(255 - n)
+        images = [b""] + [b"\0" + c + pad for c in cols]  # images[x] sends y to R_x(y)
+        joined = b"".join(cols)
+        sides = (
+            (joined.translate(images[k]), b"".join([ck.translate(images[x]) for x in ck]))
+            for k, ck in enumerate(cols, start=1)
+        )
+    else:
+        chain = itertools.chain.from_iterable
+        images = [()] + [(0,) + c for c in columns]
+        take_joined = operator.itemgetter(*chain(columns))
+        sides = (
+            (take_joined(images[k]), tuple(chain(map(operator.itemgetter(*ck), map(images.__getitem__, ck)))))
+            for k, ck in enumerate(columns, start=1)
+        )
+    best = None
+    for k, (left, right) in enumerate(sides):
+        if left == right:
+            continue
+        for j in range(n):
+            a, b = left[j * n : (j + 1) * n], right[j * n : (j + 1) * n]
+            if a != b:
+                i = next(i for i in range(n) if a[i] != b[i])
+                best = min(best or (i, j, k), (i, j, k))
+    return None if best is None else (best[0] + 1, best[1] + 1, best[2] + 1)
+
+
 def parse_matrix(text: str) -> QuandleMatrix:
     """Parse the matrix text format.
 
     Lines starting with '#' and blank lines are ignored; the first data line
     fixes n.  The table is returned unvalidated (shape and entry range are
     still enforced).  Raises QuandleParseError with the physical line number.
+    Each line is converted and range-checked whole; only a line that fails
+    is searched for its offending token.
     """
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        values = []
-        for col, tok in enumerate(tokens, start=1):
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise QuandleParseError(f"not an integer: {tok!r}", lineno, col) from None
+        try:
+            values = tuple(map(int, tokens))
+        except ValueError:
+            for col, tok in enumerate(tokens, start=1):
+                try:
+                    int(tok)
+                except ValueError:
+                    raise QuandleParseError(f"not an integer: {tok!r}", lineno, col) from None
         if n is None:
             n = len(values)
         if len(values) != n:
             raise QuandleParseError(f"expected {n} entries, got {len(values)}", lineno)
         if len(rows) == n:
             raise QuandleParseError(f"more than {n} data rows", lineno)
-        for col, v in enumerate(values, start=1):
-            if not 1 <= v <= n:
-                raise QuandleParseError(f"entry {v} outside 1..{n}", lineno, col)
+        if min(values) < 1 or max(values) > n:
+            col, v = next((col, v) for col, v in enumerate(values, start=1) if not 1 <= v <= n)
+            raise QuandleParseError(f"entry {v} outside 1..{n}", lineno, col)
         rows.append(values)
     if n is None:
         raise QuandleParseError("no data lines", 1)
     if len(rows) != n:
-        raise QuandleParseError(f"expected {n} data rows, got {len(rows)}", len(text.splitlines()) or 1)
-    return QuandleMatrix(rows)
+        raise QuandleParseError(f"expected {n} data rows, got {len(rows)}", len(lines) or 1)
+    return QuandleMatrix._unchecked(tuple(rows))

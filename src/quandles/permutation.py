@@ -240,6 +240,13 @@ class PermGroup:
     def __reduce__(self):
         return (PermGroup._of_words, (self.degree, self._words))
 
+    def __eq__(self, other) -> bool:
+        """Equal groups have the same degree and the same elements."""
+        return isinstance(other, PermGroup) and self.degree == other.degree and self._words == other._words
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self._words))
+
     @staticmethod
     def _closure(degree: int, generators: Iterable[bytes], within: frozenset | None = None) -> set[bytes]:
         """The closure of the identity under the image bytes `generators`.

@@ -2,7 +2,7 @@
 
 import itertools
 
-from quandles import Permutation, QuandleMatrix, permute
+from quandles import Permutation, QuandleMatrix, QuandleParseError, VerificationReport, permute
 from quandles.permutation import all_permutations
 
 
@@ -37,3 +37,63 @@ def least_witness(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
         return None
     witnesses = [p for p in all_permutations(a.n) if permute(a, p) == b]
     return min(witnesses, key=lambda p: p.images, default=None)
+
+
+def verify_by_triples(m: QuandleMatrix) -> VerificationReport:
+    """QuandleMatrix.verify by definition: every pair of diagonal entries, then
+    every pair in a column and every triple (i, j, k) of the standardized table."""
+    n = m.n
+    diag = m.diagonal()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if diag[i] == diag[j]:
+                return VerificationReport(False, (("diagonal", (i + 1, j + 1)),))
+    t = m.standardized().rows
+    for j in range(n):
+        seen: dict[int, int] = {}
+        for i in range(n):
+            v = t[i][j]
+            if v in seen:
+                return VerificationReport(False, (("column", (seen[v] + 1, i + 1, j + 1)),))
+            seen[v] = i
+    for i in range(n):
+        ti = t[i]
+        for j in range(n):
+            tij = t[ti[j] - 1]
+            tj = t[j]
+            for k in range(n):
+                if tij[k] != t[ti[k] - 1][tj[k] - 1]:
+                    return VerificationReport(False, (("distributivity", (i + 1, j + 1, k + 1)),))
+    return VerificationReport(True, ())
+
+
+def parse_by_tokens(text: str) -> QuandleMatrix:
+    """parse_matrix token by token: each line's tokens converted, then its
+    length and row count checked, then its entries range-checked in order."""
+    rows = []
+    n = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        values = []
+        for col, tok in enumerate(line.split(), start=1):
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise QuandleParseError(f"not an integer: {tok!r}", lineno, col) from None
+        if n is None:
+            n = len(values)
+        if len(values) != n:
+            raise QuandleParseError(f"expected {n} entries, got {len(values)}", lineno)
+        if len(rows) == n:
+            raise QuandleParseError(f"more than {n} data rows", lineno)
+        for col, v in enumerate(values, start=1):
+            if not 1 <= v <= n:
+                raise QuandleParseError(f"entry {v} outside 1..{n}", lineno, col)
+        rows.append(values)
+    if n is None:
+        raise QuandleParseError("no data lines", 1)
+    if len(rows) != n:
+        raise QuandleParseError(f"expected {n} data rows, got {len(rows)}", len(text.splitlines()) or 1)
+    return QuandleMatrix(rows)

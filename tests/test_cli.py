@@ -270,7 +270,7 @@ def test_props_order10_walks_without_holding_the_orbit(compiled, tmp_path):
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
 def test_relabelling_commands_reject_orders_past_ten(kernel, request, capsys, monkeypatch, tmp_path):
-    # one message on both kernels, checked after parsing and before the n^3
+    # one message on both kernels, checked after parsing and before
     # verify; from order 256 on an entry no longer fits a byte
     if kernel == "c":
         request.getfixturevalue("compiled")

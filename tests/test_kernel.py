@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import types
 
 import pytest
 
@@ -12,7 +14,11 @@ from quandles import (
     QuandleMatrix,
     _kernel,
     all_tables,
+    are_isomorphic,
+    automorphism_group,
+    canonical_form,
     enumerate_classes,
+    np_count,
     permute,
 )
 
@@ -172,6 +178,120 @@ def test_orbit_images_and_stabilizer(fastest_kernel):
     assert _kernel.orbit(flat, 3) == walk[:3] + (set(),)
     assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:3] + ({flat, same_column0},)
     assert _kernel.canon_min(flat, 3) == least
+
+
+@pytest.fixture(params=["python", "c"])
+def walks(request, monkeypatch):
+    """The keep mode of every walk the active backend makes, from an empty memo."""
+    made = []
+    if request.param == "c":
+        compiled = request.getfixturevalue("compiled")
+
+        def orbit(flat, n, keep):
+            made.append(keep)
+            return compiled.orbit(flat, n, keep)
+
+        counted = types.ModuleType("counted")
+        counted.orbit, counted.scan, counted.group_invariants = orbit, compiled.scan, compiled.group_invariants
+        monkeypatch.setattr(_kernel, "_speedups", counted)
+    else:
+        pure = _kernel._orbit_pure
+
+        def orbit(flat, n, keep):
+            made.append(keep)
+            return pure(flat, n, keep)
+
+        monkeypatch.setattr(_kernel, "_speedups", None)
+        monkeypatch.setattr(_kernel, "_orbit_pure", orbit)
+    _kernel._last_walk.cache_clear()
+    return made
+
+
+def _queries(a, b):
+    return canonical_form(a), automorphism_group(a), np_count(a), are_isomorphic(a, b)
+
+
+def _fresh_queries(a, b):
+    """The answers with the memo emptied before every call, as if no walk were remembered."""
+    answers = []
+    for query in (lambda: canonical_form(a), lambda: automorphism_group(a), lambda: np_count(a),
+                  lambda: are_isomorphic(a, b)):
+        _kernel._last_walk.cache_clear()
+        answers.append(query())
+    return tuple(answers)
+
+
+def test_single_table_queries_share_one_walk_per_table(walks):
+    rng = random.Random(6)
+    reps = [rec.representative for rec in enumerate_classes(6).classes]
+    walks.clear()
+    perms = [Permutation(rng.sample(range(1, 7), 6)) for _ in range(3)]
+    a, b, c = permute(reps[40], perms[0]), permute(reps[40], perms[1]), permute(reps[7], perms[2])
+    # canon, Aut and np of a, and iso of a with b: one walk of a and one of b
+    answers = _queries(a, b)
+    assert walks == [_kernel.KEEP_NONE] * 2
+    assert answers == _fresh_queries(a, b) and answers[3] is not None
+    # a, then c, then a again: each switch walks again, and the answers are unchanged
+    walks.clear()
+    assert _queries(c, a) == _fresh_queries(c, a)
+    walks.clear()
+    assert _queries(a, c) == _fresh_queries(a, c)
+    walks.clear()
+    assert _queries(a, b) == answers
+    assert len(walks) == 2
+
+
+def test_remembered_walk_hands_out_copies(walks):
+    flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
+    table = QuandleMatrix.from_flat(flat, 3)
+    aut = automorphism_group(table)
+    least, witness, stabilizer, images = _kernel.orbit(flat, 3)
+    stabilizer.clear()
+    images.add(flat)
+    assert automorphism_group(table) == aut and aut.order == 6
+    assert _kernel.orbit(flat, 3) == (least, witness, [bytes(g.images) for g in aut.elements()], set())
+    assert len(walks) == 1
+    # a malformed table raises on every call: errors are not remembered
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _kernel.orbit(b"\x01\x03\x02\x01", 2)
+
+
+def test_remembered_walk_is_safe_across_threads(fastest_kernel):
+    # more threads than cores, switching often, each asking about the order-5
+    # classes in its own order: every answer is the one computed alone
+    rng = random.Random(5)
+    reps = [rec.representative for rec in enumerate_classes(5).classes]
+    pairs = [(permute(rep, Permutation(rng.sample(range(1, 6), 5))), rng.choice(reps)) for rep in reps]
+    expected = [_fresh_queries(a, b) for a, b in pairs]
+    wrong = []
+
+    def ask(seed):
+        order = random.Random(seed).sample(range(len(pairs)), len(pairs))
+        for k in order * 3:
+            if _queries(*pairs[k]) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_classification_walks_are_not_remembered(walks):
+    first = enumerate_classes(5)
+    made = len(walks)
+    assert made == len(first.classes) and set(walks) == {_kernel.KEEP_COLUMN0}
+    assert enumerate_classes(5).classes == first.classes
+    assert len(walks) == 2 * made
 
 
 @pytest.fixture(params=["python", "c"])

@@ -1,19 +1,26 @@
 import itertools
+import random
 import re
+import time
+from collections import Counter
 
 import pytest
 
 from quandles import (
     QuandleMatrix,
     QuandleParseError,
+    VerificationReport,
+    alexander,
+    conjugation_class,
     dihedral,
     parse_matrix,
+    permute,
     trivial,
 )
 from quandles.permutation import Permutation
 
 import tables
-from reference import orbits_by_warshall
+from reference import orbits_by_warshall, parse_by_tokens, verify_by_triples
 
 
 def test_parse_basic():
@@ -47,6 +54,40 @@ def test_parse_bad_token_and_missing_rows():
         parse_matrix("1 2 2\n2 1 1")  # 3 columns but only 2 rows
     with pytest.raises(QuandleParseError):
         parse_matrix("# only comments\n")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except QuandleParseError as exc:
+        return (str(exc), exc.message, exc.line, exc.column)
+
+
+def test_parse_matches_the_token_by_token_parser():
+    # seeded texts with every kind of fault, often several on one line: the
+    # same table, or the same message, line and column, as token by token
+    rng = random.Random(7)
+    tokens = ["1", "2", "3", "4", "0", "-1", "5", "x", "1.5", "+2", "07", "1_0", "٣"]
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        lines = []
+        for _ in range(rng.randint(0, n + 2)):
+            roll = rng.random()
+            if roll < 0.1:
+                lines.append(rng.choice(["", "   ", "# note", "  # indented note"]))
+            elif roll < 0.5:
+                lines.append(" ".join(str(rng.randint(1, n)) for _ in range(n)))
+            else:
+                width = n + rng.choice([-1, 0, 0, 0, 1])
+                lines.append("\t".join(rng.choice(tokens[: n] + tokens[4:]) for _ in range(max(width, 1))))
+        text = "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+        got = _parsed(parse_matrix, text)
+        assert got == _parsed(parse_by_tokens, text), text
+        outcomes[re.split(r"[-\d:]", got[1])[0] if isinstance(got, tuple) else "table"] += 1
+    assert set(outcomes) == {"table", "not an integer", "expected ", "more than ", "entry ", "no data lines"}
+    table = parse_matrix(dihedral(5).to_text())
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in table.rows)
 
 
 def test_constructor_rejects_bad_shapes():
@@ -219,3 +260,107 @@ def test_orbits_and_connected_match_warshall(matrices_for):
             expected = orbits_by_warshall(n, zip(*m.rows))
             assert m.orbits() == expected
             assert m.is_connected() == (len(expected) == 1)
+
+
+def _kind(report):
+    return report.failures[0][0] if report.failures else "valid"
+
+
+def test_verify_matches_the_triple_loop_on_every_small_table(matrices_for):
+    # every table of order <= 3 with entries in 1..n, valid or not, and every
+    # valid standard-form table of orders 4 and 5
+    kinds = Counter()
+    for n in range(1, 4):
+        for entries in itertools.product(range(1, n + 1), repeat=n * n):
+            m = QuandleMatrix.from_flat(bytes(entries), n)
+            report = m.verify()
+            assert report == verify_by_triples(m), m
+            kinds[_kind(report)] += 1
+    assert set(kinds) == {"valid", "diagonal", "column", "distributivity"}
+    for n in (4, 5):
+        for m in matrices_for(n):
+            assert m.verify() == verify_by_triples(m) == VerificationReport(True, ())
+
+
+def _valid_tables(matrices_for):
+    """Valid standard-form tables of orders 1..8: all of them up to order 5, named families past it."""
+    s4 = [Permutation.parse("(1 2)", 4), Permutation.parse("(1 2 3 4)", 4)]
+    families = [trivial(n) for n in (6, 7, 8)] + [dihedral(n) for n in (6, 7, 8)] + [
+        alexander(7, [5, 1]),
+        alexander(7, [4, 1]),
+        alexander(2, [1, 1, 0, 1]),
+        alexander(2, [1, 0, 1, 1]),
+        conjugation_class(s4, s4[0]),
+        conjugation_class(s4, s4[1]),
+        conjugation_class(s4, Permutation.parse("(1 2 3)", 4)),
+    ]
+    return [m for n in range(1, 6) for m in matrices_for(n)] + families
+
+
+def test_verify_matches_the_triple_loop_on_seeded_corruptions(matrices_for):
+    # 1 or 2 entries of a valid table overwritten (the second, half the time,
+    # so that the first's column stays a permutation), and half the results
+    # reordered by a simultaneous row and column permutation that leaves the
+    # entries alone, so that verify must standardize first
+    rng = random.Random(16)
+    bases = _valid_tables(matrices_for)
+    kinds = Counter()
+    for _ in range(10_000):
+        base = rng.choice(bases)
+        if base.n > 5:
+            base = permute(base, Permutation(rng.sample(range(1, base.n + 1), base.n)))
+        n = base.n
+        rows = [list(r) for r in base.rows]
+        i, j, v = rng.randrange(n), rng.randrange(n), rng.randint(1, n)
+        roll = rng.random()
+        if roll < 0.25:
+            # the entry of column j that holds v takes the old value instead
+            rows[[r[j] for r in rows].index(v)][j] = rows[i][j]
+        elif roll < 0.5:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(1, n)
+        rows[i][j] = v
+        if rng.random() < 0.5:
+            order = rng.sample(range(n), n)
+            rows = [[rows[a][b] for b in order] for a in order]
+        m = QuandleMatrix(rows)
+        report = m.verify()
+        assert report == verify_by_triples(m), m
+        kinds[_kind(report), m.is_standard()] += 1
+    assert min(kinds[kind, standard] for kind in ("diagonal", "column", "distributivity", "valid")
+               for standard in (True, False) if (kind, standard) != ("diagonal", True)) >= 250, kinds
+
+
+def test_verify_at_order_101_matches_the_triple_loop():
+    rng = random.Random(101)
+    for base in (dihedral(101), trivial(101)):
+        assert base.verify() == verify_by_triples(base) == VerificationReport(True, ())
+        for _ in range(3):
+            rows = [list(r) for r in base.rows]
+            i, j = rng.randrange(101), rng.randrange(101)
+            rows[i][j] = rows[i][j] % 101 + 1
+            m = QuandleMatrix(rows)
+            report = m.verify()
+            assert not report.valid and report == verify_by_triples(m)
+
+
+def test_verify_at_order_255_is_fast_and_exact():
+    for base in (dihedral(255), trivial(255)):
+        start = time.perf_counter()
+        assert base.verify().valid
+        assert time.perf_counter() - start < 0.5
+    # R_1 = (3 4) and R_2 = (3 5) on the trivial table: every column is still a
+    # permutation, but R_1 R_2 R_1^-1 = (4 5) is not R_{R_1(2)} = R_2
+    rows = [list(r) for r in trivial(255).rows]
+    rows[2][0], rows[3][0] = 4, 3
+    rows[2][1], rows[4][1] = 5, 3
+    m = QuandleMatrix(rows)
+    assert m.verify() == verify_by_triples(m) == VerificationReport(False, (("distributivity", (3, 1, 2)),))
+
+
+def test_verify_past_order_255():
+    # entries no longer fit a byte, and the column algebra runs on tuples
+    rows = [list(r) for r in trivial(256).rows]
+    rows[2][0], rows[3][0] = 4, 3
+    rows[2][1], rows[4][1] = 5, 3
+    m = QuandleMatrix(rows)
+    assert m.verify() == verify_by_triples(m) == VerificationReport(False, (("distributivity", (3, 1, 2)),))

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from quandles import PermGroup, Permutation, all_permutations, identify_group, trivial
+from quandles import (
+    PermGroup,
+    Permutation,
+    all_permutations,
+    automorphism_group,
+    dihedral,
+    identify_group,
+    trivial,
+)
 from quandles import _kernel
 from quandles.permutation import orbit_partition
 from quandles.symmetry import _label_table, _named_groups, stabilizer_group
@@ -110,6 +118,17 @@ def test_group_closure_verification():
         3, [Permutation.identity(3), Permutation.parse("(1 2 3)", 3), Permutation.parse("(1 3 2)", 3)]
     )
     assert g.order == 3
+
+
+def test_group_equality_is_by_degree_and_elements():
+    assert automorphism_group(dihedral(3)) == automorphism_group(dihedral(3))
+    s3 = PermGroup.generate([Permutation.parse("(1 2)", 3), Permutation.parse("(1 2 3)", 3)])
+    assert s3 == PermGroup(3, s3.elements()) == automorphism_group(dihedral(3))
+    assert len({s3, PermGroup(3, s3.elements())}) == 1
+    # the same elements at another degree, or a subgroup, is another group
+    assert PermGroup.generate([], degree=3) != PermGroup.generate([], degree=4)
+    assert PermGroup.generate([Permutation.parse("(1 2)", 3)]) != s3
+    assert s3 != s3.elements()
 
 
 def test_group_invariants():
