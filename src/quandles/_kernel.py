@@ -7,6 +7,16 @@ _speedups.c) and pure Python.  The compiled module is picked at import
 when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
 backends are required to return byte-identical results, including the
 placement counts used for resource capping.
+
+The pure walk splits each relabelling rho as base∘s, where s permutes only
+the last k = min(n - 1, 6) points and base takes rho's first n - k images,
+then the values left in ascending order.  The k! moves s, each a gather of
+n*n positions plus a value table, are built once per order and only one
+order is held (under 1 MiB at order 10); each walk relabels its table by
+every s once, and each prefix block builds one gather for its base.  A
+relabelling then costs one gather, one bytes() and one bytes.translate,
+and the walk holds one block of k! images at a time, never n! objects
+beyond the stabilizer and the images it returns.
 """
 
 from __future__ import annotations
@@ -214,6 +224,7 @@ KEEP_NONE, KEEP_COLUMN0, KEEP_ALL = 0, 1, 2
 Walk = tuple[bytes, bytes, list[bytes], set[bytes]]  # (least, witness, stabilizer, images)
 
 _ONE_BASED = bytes(range(1, 256)) + b"\0"  # translate table adding 1 to every entry
+_IDENTITY = bytes(range(256))  # translate table leaving every entry as it is
 
 
 def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
@@ -230,7 +241,9 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     normal forms of its class) or all of them (KEEP_ALL, with
     len(images) * len(stabilizer) == n!).  No other image is kept; the
     compiled walk makes no object for one and abandons it once it is
-    greater than the least so far and differs from `flat`.
+    greater than the least so far and differs from `flat`; the pure walk
+    builds the images of one prefix block at a time (see the module
+    docstring), so it holds at most 6! of them besides its results.
     Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n, every
     entry lies in 1..n and `keep` is one of the three.
 
@@ -259,6 +272,38 @@ def _last_walk(flat: bytes, n: int, keep: int, speedups) -> tuple[bytes, bytes, 
     return least, witness, tuple(stabilizer)
 
 
+SUFFIX_POINTS = 6  # the pure walk caches the relabellings of at most this many last points
+
+
+def _position_gather(perm, n: int) -> operator.itemgetter:
+    """The gather taking a row-major n*n table M, n >= 2, to the tuple of
+    G(M)[a][b] = M[perm[a]][perm[b]], row-major."""
+    return operator.itemgetter(*[row + b for row in [a * n for a in perm] for b in perm])
+
+
+def _value_table(perm, n: int) -> bytes:
+    """The translate table sending each 1-based entry v to perm[v - 1] + 1."""
+    return b"\0" + bytes(perm).translate(_ONE_BASED) + _IDENTITY[n + 1 :]
+
+
+@functools.lru_cache(maxsize=1)
+def _suffix_moves(n: int) -> tuple[int, tuple[tuple[operator.itemgetter, bytes, bytes], ...]]:
+    """(m, moves) for the pure walk of order n >= 2, with m = n - min(n - 1, SUFFIX_POINTS).
+
+    One move per permutation s fixing the first m points, in lexicographic
+    order: the gather of G_{s^-1}, the value table of s and the 1-based word
+    of s.  The gather and the table together make s . M from a table M.  At
+    most 6! moves of n*n indices each; one order is held at a time.
+    """
+    m = n - min(n - 1, SUFFIX_POINTS)
+    moves = []
+    for tail in itertools.permutations(range(m, n)):
+        s = tuple(range(m)) + tail
+        inverse = sorted(range(n), key=s.__getitem__)
+        moves.append((_position_gather(inverse, n), _value_table(s, n), bytes(s).translate(_ONE_BASED)))
+    return m, tuple(moves)
+
+
 def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     if not 1 <= n <= MAX_ORDER:
         raise ValueError("order out of range")
@@ -269,27 +314,33 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
             raise ValueError(f"entry {x} outside 1..{n}")
     if keep not in (KEEP_NONE, KEEP_COLUMN0, KEEP_ALL):
         raise ValueError(f"keep must be {KEEP_NONE}, {KEEP_COLUMN0} or {KEEP_ALL}")
+    if n == 1:  # one relabelling; a gather of one index would give an int, not a tuple
+        return flat, flat, [flat], set() if keep == KEEP_NONE else {flat}
+    # rho = base∘s: base takes rho's first m images, then the values left in
+    # ascending order, and s permutes the last points.  Prefixes in order,
+    # then s in order within each, is rho in order, and rho . flat is
+    # base . (s . flat): one gather and one translate per relabelling.
+    m, moves = _suffix_moves(n)
+    relabelled = [bytes(gather(flat)).translate(values) for gather, values, _ in moves]
     least, witness = flat, bytes(range(1, n + 1))
     stabilizer: list[bytes] = []
     images: set[bytes] = set()
     column0 = flat[::n]
-    values = bytearray(range(256))
-    inverse = [0] * n
-    rng = range(n)
-    for p in itertools.permutations(rng):
-        word = bytes(p).translate(_ONE_BASED)
-        values[1 : n + 1] = word
-        relabelled = flat.translate(values)
-        for i in rng:
-            inverse[p[i]] = i
-        # out[a][b] = rho(flat[rho^-1(a)][rho^-1(b)])
-        cand = bytes([relabelled[q * n + r] for q in inverse for r in inverse])
-        if cand < least:
-            least, witness = cand, word
-        if cand == flat:
-            stabilizer.append(word)
-        if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
-            images.add(cand)
+    points = range(n)
+    for prefix in itertools.permutations(points, m):
+        base = prefix + tuple(sorted(set(points).difference(prefix)))
+        values = _value_table(base, n)
+        gather = _position_gather(sorted(points, key=base.__getitem__), n)
+        cands = [c.translate(values) for c in map(bytes, map(gather, relabelled))]
+        low = min(cands)
+        if low < least:
+            least, witness = low, moves[cands.index(low)][2].translate(values)
+        if flat in cands:
+            stabilizer += [moves[i][2].translate(values) for i, c in enumerate(cands) if c == flat]
+        if keep == KEEP_ALL:
+            images.update(cands)
+        elif keep == KEEP_COLUMN0:
+            images.update(c for c in cands if c[::n] == column0)
     return least, witness, stabilizer, images
 
 

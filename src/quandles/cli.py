@@ -69,10 +69,14 @@ def _load(path: str, *, walked: bool = False) -> QuandleMatrix:
         raise _Invalid(f"{path}: {exc}") from exc
     if walked and m.n > MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
+    # standardize once: verify() on a standard table reuses it as it is, and
+    # a diagonal that is no permutation fails verify() before any reordering
+    if len(set(m.diagonal())) == m.n:
+        m = m.standardized()
     report = m.verify()
     if not report.valid:
         raise _Invalid(f"{path}: invalid: {_failure_text(report)}")
-    return m.standardized()
+    return m
 
 
 def _yesno(flag: bool) -> str:

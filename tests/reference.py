@@ -3,6 +3,7 @@
 import itertools
 
 from quandles import Permutation, QuandleMatrix, QuandleParseError, VerificationReport, permute
+from quandles._kernel import KEEP_ALL, KEEP_COLUMN0
 from quandles.permutation import all_permutations
 
 
@@ -12,6 +13,37 @@ def np_count_explicit(m: QuandleMatrix) -> int:
     for images in itertools.permutations(range(1, m.n + 1)):
         seen.add(permute(m, Permutation(images)).rows)
     return len(seen)
+
+
+def orbit_by_relabelling(flat: bytes, n: int, keep: int):
+    """_kernel.orbit's walk one relabelling at a time, for a well-formed table.
+
+    For each rho in lexicographic order: translate the entries through rho,
+    invert rho with an n-step loop and move every entry to its new place.
+    Returns (least, witness, stabilizer, images) as the kernel does.
+    """
+    least, witness = flat, bytes(range(1, n + 1))
+    stabilizer: list[bytes] = []
+    images: set[bytes] = set()
+    column0 = flat[::n]
+    values = bytearray(range(256))
+    inverse = [0] * n
+    rng = range(n)
+    for p in itertools.permutations(rng):
+        word = bytes(v + 1 for v in p)
+        values[1 : n + 1] = word
+        relabelled = flat.translate(values)
+        for i in rng:
+            inverse[p[i]] = i
+        # out[a][b] = rho(flat[rho^-1(a)][rho^-1(b)])
+        cand = bytes([relabelled[q * n + r] for q in inverse for r in inverse])
+        if cand < least:
+            least, witness = cand, word
+        if cand == flat:
+            stabilizer.append(word)
+        if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
+            images.add(cand)
+    return least, witness, stabilizer, images
 
 
 def orbits_by_warshall(degree: int, maps) -> tuple[tuple[int, ...], ...]:

@@ -109,6 +109,48 @@ def test_np_dual_det(capsys, det_files):
     assert dual.verify().valid
 
 
+# dihedral(5) with rows and columns reordered together by (3 5 1 4 2), so its
+# diagonal is a permutation but not 1..5; then with two entries of column 2
+# swapped, which keeps every column a permutation; then with a repeated diagonal
+NONSTANDARD_VALID = [[3, 2, 4, 5, 1], [1, 5, 2, 3, 4], [5, 4, 1, 2, 3], [2, 1, 3, 4, 5], [4, 3, 5, 1, 2]]
+NONSTANDARD_INVALID = [[3, 1, 4, 5, 1], [1, 5, 2, 3, 4], [5, 4, 1, 2, 3], [2, 2, 3, 4, 5], [4, 3, 5, 1, 2]]
+REPEATED_DIAGONAL = [[3, 1, 4, 5, 1], [1, 5, 2, 3, 4], [5, 4, 1, 2, 3], [2, 2, 3, 4, 5], [4, 3, 5, 1, 3]]
+
+
+@pytest.mark.parametrize(
+    "rows, built, dual, det, failure",
+    [
+        (NONSTANDARD_VALID, 1, "1 3 5 2 4\n5 2 4 1 3\n4 1 3 5 2\n3 5 2 4 1\n2 4 1 3 5\n", "-1875\n", None),
+        (NONSTANDARD_INVALID, 1, None, None, "distributivity fails at triple (i, j, k) = (1, 2, 5)"),
+        (REPEATED_DIAGONAL, 0, None, None, "diagonal condition fails: rows 1 and 5 share a diagonal value"),
+    ],
+    ids=["valid", "invalid", "diagonal"],
+)
+def test_loading_standardizes_once(capsys, tmp_path, monkeypatch, rows, built, dual, det, failure):
+    # `dual` and `det` print what they printed when the table was verified and
+    # then standardized apart; only one standardized() call builds a table
+    path = _write(tmp_path, "m.txt", rows)
+    made = []
+    standardized = QuandleMatrix.standardized
+
+    def counted(self):
+        out = standardized(self)
+        made.append(out is not self)
+        return out
+
+    monkeypatch.setattr(QuandleMatrix, "standardized", counted)
+    for command, printed in (("dual", dual), ("det", det)):
+        made.clear()
+        if failure is None:
+            assert _run(capsys, [command, path]) == (0, printed, "")
+        else:
+            assert _run(capsys, [command, path]) == (1, "", f"{path}: invalid: {failure}\n")
+        assert made.count(True) == built
+    assert _run(capsys, ["verify", path]) == (
+        (0, "valid\n", "") if failure is None else (1, f"invalid: {failure}\n", "")
+    )
+
+
 def test_canon_output_is_class_least(capsys, det_files):
     a, b = det_files
     _, out_a, _ = _run(capsys, ["canon", a])

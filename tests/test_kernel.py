@@ -5,18 +5,22 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 
 import pytest
+from reference import orbit_by_relabelling
 
 from quandles import (
     Permutation,
     QuandleMatrix,
     _kernel,
+    alexander,
     all_tables,
     are_isomorphic,
     automorphism_group,
     canonical_form,
+    dihedral,
     enumerate_classes,
     np_count,
     permute,
@@ -178,6 +182,54 @@ def test_orbit_images_and_stabilizer(fastest_kernel):
     assert _kernel.orbit(flat, 3) == walk[:3] + (set(),)
     assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:3] + ({flat, same_column0},)
     assert _kernel.canon_min(flat, 3) == least
+
+
+def _same_as_relabelling(flat, n):
+    for keep in (_kernel.KEEP_NONE, _kernel.KEEP_COLUMN0, _kernel.KEEP_ALL):
+        assert _kernel._orbit_pure(flat, n, keep) == orbit_by_relabelling(flat, n, keep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pure_orbit_matches_relabelling_on_every_table(n):
+    # the split walk against one relabelling at a time, needing no compiler
+    for flat in all_tables(n):
+        _same_as_relabelling(flat, n)
+
+
+def test_pure_orbit_matches_relabelling_on_order5_normal_forms():
+    tables = _kernel.scan(5)[0]
+    assert len(tables) == 33
+    for flat in tables:
+        _same_as_relabelling(flat, 5)
+
+
+def test_pure_orbit_matches_relabelling_on_order6_classes(report_for):
+    classes = report_for(6).classes
+    assert len(classes) == 73
+    for rec in classes:
+        _same_as_relabelling(rec.representative.flat(), 6)
+
+
+@pytest.mark.parametrize(
+    "table, aut_order", [(dihedral(8), 32), (alexander(8, [3, 1]), 128)], ids=["dihedral", "alexander"]
+)
+def test_pure_orbit_memory_is_bounded(table, aut_order):
+    # one order-8 walk from a cold cache holds the gathers of one order (6!
+    # of them, under 1 MiB even at order 10) and one prefix block of images;
+    # a gather per relabelling, 8! of them, would hold 39 MiB
+    assert _kernel._suffix_moves.cache_info().maxsize == 1
+    _kernel._suffix_moves.cache_clear()
+    flat = table.flat()
+    tracemalloc.start()
+    try:
+        least, witness, stabilizer, _ = _kernel._orbit_pure(flat, 8, _kernel.KEEP_NONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert len(_kernel._suffix_moves(8)[1]) == math.factorial(6)
+    assert len(stabilizer) == aut_order
+    assert permute(table, Permutation(tuple(witness))).flat() == least
 
 
 @pytest.fixture(params=["python", "c"])
