@@ -100,12 +100,12 @@ def scan(n: int, *, cap: int = DEFAULT_CAP) -> tuple[list[bytes], int, bool]:
     by self-distributivity, R_{R_k(j)} = R_k R_j R_k^-1, to a fixpoint,
     rejecting the branch when a forced column contradicts a set one; forced
     columns are conjugates of set ones, so they never exceed R_0's type.
-    Tables come out lexicographic in the column-index tuple.  The budget
-    charges 1 per tried candidate, a placement (skipped and forced columns
-    are free), and n! per kept table, the relabellings that walking its
-    class may take.  The scan stops at the first placement or kept table
-    that takes the charge past `cap`, returning (output so far, placements,
-    True); otherwise it returns (every table, placements, False).
+    Tables come out lexicographic in the column-index tuple.  The charge is
+    placements + n! * (kept tables): a placement is one tried candidate
+    (skipped and forced columns are free), and n! the relabellings walking a
+    kept table's class may take.  The scan stops at the first placement or
+    kept table that takes it past `cap`, returning (output so far,
+    placements, True); otherwise it returns (every table, placements, False).
     """
     cap = operator.index(cap)  # a non-integral cap is a TypeError on both backends, before any placement
     if not 1 <= n <= MAX_ORDER:
@@ -177,34 +177,29 @@ def _scan_closure_pure(n, ranks, cap):
         return True
 
     relabellings = factorial(n)
-    placements = charged = 0
-    hit = False
+    placements = 0
 
-    def walk(choices, base):  # deeper positions draw from base
-        nonlocal placements, charged, hit
+    def walk(choices, base):  # deeper positions draw from base; False once the charge passes cap
+        nonlocal placements
         d = cols.index(None)
         mark = len(trail)
         for perm in choices:
             placements += 1
-            charged += 1
-            if charged > cap:
-                hit = True
-                return
+            if placements + len(out) * relabellings > cap:
+                return False
             cols[d] = lift(perm, d)
             trail.append(d)
             if propagate(mark):
-                if len(trail) == n:
-                    out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
-                    charged += relabellings
-                    if charged > cap:
-                        hit = True
-                        return
+                if len(trail) < n:
+                    if not walk(base, base):
+                        return False
                 else:
-                    walk(base, base)
-                    if hit:
-                        return
+                    out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
+                    if placements + len(out) * relabellings > cap:
+                        return False
             while len(trail) > mark:
                 cols[trail.pop()] = None
+        return True
 
     tried = set()
     for first, r0 in zip(itertools.permutations(range(n - 1)), ranks):
@@ -212,10 +207,9 @@ def _scan_closure_pure(n, ranks, cap):
             continue
         tried.add(r0)
         # R_0 is the first column of its type; the rest draw from the columns of no greater type
-        walk([first], [p for p, r in zip(itertools.permutations(range(n - 1)), ranks) if r <= r0])
-        if hit:
-            break
-    return out, placements, hit
+        if not walk([first], [p for p, r in zip(itertools.permutations(range(n - 1)), ranks) if r <= r0]):
+            return out, placements, True
+    return out, placements, False
 
 
 # which images orbit() returns: none, those sharing the input's column 0, or all

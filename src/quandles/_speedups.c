@@ -31,11 +31,12 @@ append_table(PyObject *out, const unsigned char *const *col_at, int n)
 }
 
 /* Search state of the closure scan, on the stack of one scan call.
+   lifted[(i * count + k) * n ...] is position i's k-th candidate column;
    col_at[t] is R_t (a lifted candidate or forced[t]) or NULL while unset; trail
    lists the set positions in the order they were set. */
 struct closure {
-    int n;
-    int len;
+    int n, count, len;
+    const unsigned char *lifted;
     int trail[MAX_ORDER];
     const unsigned char *col_at[MAX_ORDER];
     unsigned char forced[MAX_ORDER][MAX_ORDER];
@@ -107,34 +108,75 @@ next_permutation(int *p, int n)
 
 PyDoc_STRVAR(scan_doc,
 "scan(n, ranks, cap)\n\n"
-"Mirror of quandles._kernel._scan_closure_pure.\n\n"
+"Mirror of quandles._kernel._scan_closure_pure, one recursion like its walk.\n\n"
 "`ranks[k]` is the cycle-type rank of the k-th permutation of range(n - 1)\n"
 "in lexicographic order; every position's k-th candidate column is its lift,\n"
 "made once, before the scan.  Position 0 tries only the first column of each\n"
 "rank; the other positions skip, for free, columns of greater rank than R_0.\n"
-"Charges 1 per placement and n! per kept table, and stops at the first\n"
-"charge past `cap`.\n"
+"The charge is the placements so far plus n! per kept table; the scan stops\n"
+"at the first placement or kept table that takes it past `cap`.\n"
 "Returns (matrices, placements, hit_cap), matrices as row-major 1-based bytes.");
 
-/* Branch on the least unset position, propagate, undo through the trail.
-   Each position is set at most once along a path, so the trail and the
-   frame stack hold at most n entries.  Frame 0 sets position 0 and walks
-   the candidate indices; deeper frames walk `eligible`, the indices whose
-   rank does not exceed that of the current R_0. */
+/* The kept tables and the budget of one scan call; relabellings is n!. */
+struct budget {
+    PyObject *out;
+    unsigned long long placements, cap, relabellings;
+};
+
+/* The charge placements + n! * (kept tables) is past the cap.  Each step
+   adds 1 or n! <= 10! to a charge of at most cap < 2**63, so it never wraps. */
+#define OVER_CAP(b) ((b)->placements + (b)->relabellings * PyList_GET_SIZE((b)->out) > (b)->cap)
+
+/* The pure walk(choices, base): place each of the m candidate indices
+   `choices` at the least unset position, propagate, then recurse over
+   `base` or append the finished table, and undo through the trail.  Each
+   position is set at most once along a path, so the trail holds at most n
+   entries and the recursion is at most n deep.  Returns 1 to go on, 0 once
+   the charge passes the cap, -1 on error. */
+static int
+scan_walk(struct closure *s, struct budget *b, const int *choices, int m, const int *base, int m_base)
+{
+    const int n = s->n, mark = s->len;
+    int d = 0;
+    while (s->col_at[d] != NULL)
+        d++;
+    const unsigned char *col = s->lifted + (Py_ssize_t)d * s->count * n;
+    for (int c = 0; c < m; c++) {
+        b->placements++;
+        if (OVER_CAP(b))
+            return 0;
+        s->col_at[d] = col + (Py_ssize_t)choices[c] * n;
+        s->trail[s->len++] = d;
+        if (closure_propagate(s, mark)) {
+            if (s->len < n) {
+                const int go = scan_walk(s, b, base, m_base, base, m_base);
+                if (go <= 0)
+                    return go;
+            } else if (append_table(b->out, s->col_at, n) < 0) {
+                return -1;
+            } else if (OVER_CAP(b)) {
+                return 0;
+            }
+        }
+        while (s->len > mark)
+            s->col_at[s->trail[--s->len]] = NULL;
+    }
+    return 1;
+}
+
+/* Walk once per rank from position 0, with R_0 the first candidate of that
+   rank and every deeper position drawing from `eligible`, the candidates of
+   no greater rank. */
 static PyObject *
 scan(PyObject *self, PyObject *args)
 {
-    int n_arg;
-    long long cap_arg;
+    int n;
+    long long cap;
     const char *ranks_arg;
     Py_ssize_t count_arg;
 
-    if (!PyArg_ParseTuple(args, "iy#L", &n_arg, &ranks_arg, &count_arg, &cap_arg))
+    if (!PyArg_ParseTuple(args, "iy#L", &n, &ranks_arg, &count_arg, &cap))
         return NULL;
-    /* copies whose address is never taken, so the hot loop keeps them in registers */
-    const int n = n_arg;
-    /* a negative cap, like 0, stops at the first placement */
-    const unsigned long long cap = cap_arg < 0 ? 0 : cap_arg;
     const unsigned char *const ranks = (const unsigned char *)ranks_arg;
     if (n < 1 || n > MAX_ORDER) {
         PyErr_SetString(PyExc_ValueError, "order out of range");
@@ -148,7 +190,6 @@ scan(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    /* lifted[(i * count + k) * n ...] is position i's k-th candidate column */
     unsigned char *lifted = PyMem_New(unsigned char, (size_t)n * count * n);
     int *eligible = PyMem_New(int, count);
     PyObject *out = PyList_New(0);
@@ -171,78 +212,26 @@ scan(PyObject *self, PyObject *args)
         } while (next_permutation(perm, n - 1));
     }
 
-    struct closure s;
-    struct {
-        int pos, next, mark;
-    } frame[MAX_ORDER];
+    struct closure s = {.n = n, .count = count, .lifted = lifted};
+    /* a negative cap, like 0, stops at the first placement */
+    struct budget b = {out, 0, cap < 0 ? 0 : cap, (unsigned long long)count * n};
     unsigned char tried[256] = {0}; /* ranks already used for R_0 */
-    memset(&s, 0, sizeof s);
-    s.n = n;
-    int n_eligible = 0;
-    const unsigned long long relabellings = (unsigned long long)count * n; /* n! */
-    /* each charge is 1 or n! <= 10! and the scan stops at the first one past
-       cap < 2**63, so the sum stays under 2**63 + 10! and never wraps */
-    unsigned long long charged = 0;
-    long long placements = 0;
-    int hit = 0;
-    int top = 0;
-    frame[0].pos = frame[0].next = frame[0].mark = 0;
-    while (top >= 0) {
-        const int pos = frame[top].pos, mark = frame[top].mark;
-        while (s.len > mark)
-            s.col_at[s.trail[--s.len]] = NULL;
-        int i;
-        if (top == 0) {
-            while (frame[0].next < count && tried[ranks[frame[0].next]])
-                frame[0].next++;
-            if (frame[0].next >= count)
-                break;
-            i = frame[0].next++;
-            tried[ranks[i]] = 1;
-            n_eligible = 0;
-            for (int k = 0; k < count; k++)
-                if (ranks[k] <= ranks[i])
-                    eligible[n_eligible++] = k;
-        } else {
-            if (frame[top].next >= n_eligible) {
-                top--;
-                continue;
-            }
-            i = eligible[frame[top].next++];
-        }
-        placements++;
-        if (++charged > cap) {
-            hit = 1;
-            break;
-        }
-        s.col_at[pos] = lifted + ((Py_ssize_t)pos * count + i) * n;
-        s.trail[s.len++] = pos;
-        if (!closure_propagate(&s, mark))
+    int go = 1;
+    for (int i = 0; go > 0 && i < count; i++) {
+        if (tried[ranks[i]])
             continue;
-        if (s.len == n) {
-            if (append_table(out, s.col_at, n) < 0) {
-                Py_CLEAR(out);
-                break;
-            }
-            charged += relabellings;
-            if (charged > cap) {
-                hit = 1;
-                break;
-            }
-            continue;
-        }
-        int d = 0;
-        while (s.col_at[d] != NULL)
-            d++;
-        top++;
-        frame[top].pos = d;
-        frame[top].next = 0;
-        frame[top].mark = s.len;
+        tried[ranks[i]] = 1;
+        int n_eligible = 0;
+        for (int k = 0; k < count; k++)
+            if (ranks[k] <= ranks[i])
+                eligible[n_eligible++] = k;
+        go = scan_walk(&s, &b, &i, 1, eligible, n_eligible);
     }
     PyMem_Free(lifted);
     PyMem_Free(eligible);
-    /* with out NULL (a failed append) this returns NULL and keeps the error */
-    return Py_BuildValue("(NLO)", out, placements, hit ? Py_True : Py_False);
+    if (go < 0)
+        Py_CLEAR(out); /* a failed append: Py_BuildValue then returns NULL and keeps the error */
+    return Py_BuildValue("(NKO)", out, b.placements, go ? Py_False : Py_True);
 }
 
 PyDoc_STRVAR(orbit_doc,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import factorial
 
 from . import construct
 from ._kernel import DEFAULT_CAP, MAX_ORDER, backend
@@ -107,7 +106,7 @@ def _cmd_props(args) -> int:
     print("orbits: " + " ".join("{" + ",".join(map(str, b)) + "}" for b in m.orbits()))
     print(f"aut_order: {aut.order}")
     print(f"aut_label: {identify_group(aut).label}")
-    print(f"np: {factorial(m.n) // aut.order}")
+    print(f"np: {np_count(m)}")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ Z_m[t], and conjugation quandles on closed sets of group elements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from collections.abc import Sequence
@@ -84,36 +85,21 @@ def alexander(modulus: int, coeffs: Sequence[int]) -> QuandleMatrix:
         )
     m, d = pres.modulus, pres.degree
     reduction = pres.coeffs[:-1]  # t**d = -(reduction) in the quotient
-
-    def index(vec: tuple[int, ...]) -> int:
-        out = 0
-        for c in vec:
-            out = out * m + c
-        return out + 1
-
-    def vector(idx: int) -> tuple[int, ...]:
-        idx -= 1
-        out = []
-        for _ in range(d):
-            idx, c = divmod(idx, m)
-            out.append(c)
-        return tuple(reversed(out))
+    elements = list(itertools.product(range(m), repeat=d))  # lexicographic, constant coefficient first
+    index = {vec: k for k, vec in enumerate(elements, start=1)}
 
     def times_t(vec: tuple[int, ...]) -> tuple[int, ...]:
         lead = vec[-1]
         shifted = (0,) + vec[:-1]
         return tuple((s - lead * r) % m for s, r in zip(shifted, reduction))
 
-    size = pres.size
     rows = []
-    for i in range(1, size + 1):
-        a = vector(i)
+    for a in elements:
         row = []
-        for j in range(1, size + 1):
-            b = vector(j)
+        for b in elements:
             diff = tuple((x - y) % m for x, y in zip(a, b))
             tdiff = times_t(diff)
-            row.append(index(tuple((x + y) % m for x, y in zip(b, tdiff))))
+            row.append(index[tuple((x + y) % m for x, y in zip(b, tdiff))])
         rows.append(row)
     return QuandleMatrix(rows)
 

@@ -1,6 +1,7 @@
 """Slow reference implementations that the library's fast paths are checked against."""
 
 import itertools
+from math import gcd
 
 from quandles import Permutation, QuandleMatrix, QuandleParseError, VerificationReport, permute
 from quandles._kernel import KEEP_ALL, KEEP_COLUMN0
@@ -13,6 +14,58 @@ def np_count_explicit(m: QuandleMatrix) -> int:
     for images in itertools.permutations(range(1, m.n + 1)):
         seen.add(permute(m, Permutation(images)).rows)
     return len(seen)
+
+
+def alexander_by_definition(modulus: int, coeffs) -> list[list[int]]:
+    """The rows of construct.alexander's table, from its docstring's definition.
+
+    Element k is the polynomial whose coefficients, constant first, are the
+    base-modulus digits of k - 1, most significant first.  a▷b is the
+    polynomial t·a + (1-t)·b, reduced mod p(t) by long division.
+    """
+    p = [c % modulus for c in coeffs]
+    d = len(p) - 1
+    size = modulus**d
+
+    def element(k):
+        return [(k - 1) // modulus ** (d - 1 - i) % modulus for i in range(d)]
+
+    def times(f, g):
+        product = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                product[i + j] += x * y
+        return product
+
+    def mod_p(f):
+        f = f + [0] * (d + 1 - len(f))
+        for top in range(len(f) - 1, d - 1, -1):  # p is monic: subtract f[top]·t^(top-d)·p
+            lead = f[top]
+            for i in range(d + 1):
+                f[top - d + i] -= lead * p[i]
+        return tuple(c % modulus for c in f[:d])
+
+    index = {tuple(element(k)): k for k in range(1, size + 1)}
+    rows = []
+    for i in range(1, size + 1):
+        ta = times([0, 1], element(i))
+        row = []
+        for j in range(1, size + 1):
+            b = times([1, -1], element(j))
+            row.append(index[mod_p([x + y for x, y in itertools.zip_longest(ta, b, fillvalue=0)])])
+        rows.append(row)
+    return rows
+
+
+def alexander_presentations(max_size: int):
+    """Every (modulus, coeffs) with p monic, t invertible and modulus**degree <= max_size."""
+    for modulus in range(2, max_size + 1):
+        d = 1
+        while modulus**d <= max_size:
+            for low in itertools.product(range(modulus), repeat=d):
+                if gcd(low[0], modulus) == 1:
+                    yield modulus, low + (1,)
+            d += 1
 
 
 def orbit_by_relabelling(flat: bytes, n: int, keep: int):

@@ -1,4 +1,5 @@
 import pytest
+from reference import alexander_by_definition, alexander_presentations
 
 from quandles import (
     AlexanderPresentation,
@@ -44,6 +45,14 @@ def test_alexander_table_classes():
         built = alexander(modulus, coeffs)
         assert built.verify().valid
         assert are_isomorphic(built, QuandleMatrix(rows)) is not None
+
+
+def test_alexander_tables_follow_the_definition():
+    # the element order too, not only the class: entry for entry
+    presentations = list(alexander_presentations(27))
+    assert len(presentations) == 295
+    for modulus, coeffs in presentations:
+        assert [list(r) for r in alexander(modulus, coeffs).rows] == alexander_by_definition(modulus, coeffs)
 
 
 def test_alexander_latin_iff_one_minus_t_invertible():

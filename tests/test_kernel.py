@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -25,6 +26,7 @@ from quandles import (
     np_count,
     permute,
 )
+from quandles.cli import main
 
 
 def _pure_scan(n, cap=_kernel.DEFAULT_CAP):
@@ -114,6 +116,30 @@ def test_backends_agree_on_caps(compiled):
         expected = _pure_scan(6, cap=cap)
         assert (len(expected[0]),) + expected[1:] == (tables, placements, True)
         assert _kernel.scan(6, cap=cap) == expected
+
+
+@pytest.mark.parametrize("n, caps", [(4, range(193)), (5, [*range(0, 4169, 13), 4167, 4168])])
+def test_backends_agree_on_every_cap(n, caps, fastest_kernel):
+    # the charge is placements + n! per kept table: 24 + 7 * 4! = 192 for the
+    # whole order-4 scan, 208 + 33 * 5! = 4,168 for order 5
+    whole, whole_placements, _ = _pure_scan(n)
+    full = whole_placements + len(whole) * math.factorial(n)
+    assert full == {4: 192, 5: 4168}[n]
+    for cap in caps:
+        expected = tables, placements, hit = _pure_scan(n, cap=cap)
+        assert _kernel.scan(n, cap=cap) == expected
+        assert hit == (cap < full)
+        if hit:
+            # cut at the first charge past the cap, with the whole scan's first tables
+            assert placements + len(tables) * math.factorial(n) > cap
+            assert tables == whole[: len(tables)]
+
+
+def test_order9_scan_is_pinned(compiled):
+    # the order where the compiled scan does most of its work; about 1.5 s and 30 MB
+    tables, placements, hit = _kernel.scan(9, cap=10**11)
+    assert (len(tables), placements, hit) == (218025, 56465079, False)
+    assert hashlib.md5(b"".join(tables)).hexdigest() == "a7a5ad7a6102d342cd627d354cbeb83f"
 
 
 @pytest.mark.parametrize("n, tables, placements", [(5, 33, 208), (6, 181, 2577), (7, 1405, 48116)])
@@ -291,6 +317,15 @@ def test_single_table_queries_share_one_walk_per_table(walks):
     walks.clear()
     assert _queries(a, b) == answers
     assert len(walks) == 2
+
+
+def test_props_makes_one_walk(walks, capsys, tmp_path):
+    # Aut and np read one remembered walk
+    path = tmp_path / "m.txt"
+    path.write_text(dihedral(5).to_text())
+    assert main(["props", str(path)]) == 0
+    assert walks == [_kernel.KEEP_NONE]
+    assert {"aut_order: 20", "np: 6"} <= set(capsys.readouterr().out.splitlines())
 
 
 def test_remembered_walk_hands_out_copies(walks):
