@@ -117,34 +117,6 @@ def scan(n: int, *, cap: int = DEFAULT_CAP) -> tuple[list[bytes], int, bool]:
     return _scan_closure_pure(n, ranks, cap)
 
 
-_ZERO_BASED = b"\0" + bytes(range(255))  # translate table taking 1 from every entry
-
-
-def normal_forms_in_class(flat: bytes, n: int, aut_order: int, types: dict[bytes, tuple[int, ...]]) -> int:
-    """How many tables in scan's normal form share the class of `flat`, itself one.
-
-    A relabelling rho maps the table into normal form exactly when it sends
-    some x whose R_x has the greatest type t to 0 and conjugates R_x onto
-    R_0's column; for each such x that is a coset of the centralizer of R_0
-    in the stabilizer of 0, of order c(t) = prod k^m_k m_k! over t less one
-    fixed point.  Each image is reached |Aut| times.  `types` maps a
-    column's 1-based bytes to its cycle type; the columns missing from it
-    are added, so one dict serves every class of a scan.
-    """
-    column_types = []
-    for j in range(n):
-        column = flat[j::n]
-        t = types.get(column)
-        if t is None:
-            t = types[column] = cycle_type(column.translate(_ZERO_BASED))
-        column_types.append(t)
-    first = column_types[0]
-    centralizer = 1
-    for length, mult in Counter(first[:-1]).items():
-        centralizer *= length**mult * factorial(mult)
-    return column_types.count(first) * centralizer // aut_order
-
-
 def _scan_closure_pure(n, ranks, cap):
     out: list[bytes] = []
     cols: list[tuple[int, ...] | None] = [None] * n  # cols[t] is R_t once placed or forced

@@ -13,7 +13,9 @@ normal form: R_0 has the greatest cycle type in the table and is the first
 column of its type at position 0.  Every class has such a member, usually a
 few.  One walk over the relabellings of one of them per class then yields
 the class's least table (its representative), Aut and np, and the union of
-the orbits is every standard-form table.
+the orbits is every standard-form table.  The walk also checks the scan:
+the images sharing the walked table's column 0 are the class's normal
+forms, and each must be a scanned table that no earlier class claimed.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
 
     The normal-form tables come from one scan whose budget `cap` covers
     their orbit walks.  `keep` is KEEP_COLUMN0, whose images are the class's
-    normal forms, or KEEP_ALL.  Checks the scan against the theory as it
-    goes: the walk must claim exactly the predicted number of scanned
-    tables, and the kept images number those normal forms, or n! / |Aut|
-    for the whole orbit.  A scanned table outside the normal forms of its
-    class shows as a class walked twice.
+    normal forms, or KEEP_ALL.  Checks the scan with the walk's own images
+    as it goes: those sharing `flat`'s column 0 are the class's normal
+    forms, and each must be a scanned table not yet claimed; the walk then
+    claims them.  A kept orbit must number n! / |Aut|.  A scanned table
+    outside the normal forms of its class shows as a class walked twice.
     """
     if operator.index(cap) < 1:  # 0.5 is a TypeError, like every non-integral cap
         raise ValueError("cap must be positive")
@@ -86,7 +88,6 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     if len(unclaimed) != len(flats):
         raise RuntimeError(f"the order-{n} scan emitted a table twice")
     walked = set()
-    types: dict[bytes, tuple[int, ...]] = {}  # column bytes -> cycle type, for this scan only
     for flat in flats:
         if flat not in unclaimed:
             continue
@@ -98,19 +99,18 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
                 "the scan kept a table outside its normal forms"
             )
         walked.add(least)
-        members = unclaimed.intersection(images)
-        expected = _kernel.normal_forms_in_class(flat, n, len(stabilizer), types)
-        if keep == _kernel.KEEP_ALL:
-            counted = len(images) * len(stabilizer) == factorial(n)
-        else:
-            counted = len(images) == expected
-        if len(members) != expected or not counted:
+        if keep == _kernel.KEEP_ALL and len(images) * len(stabilizer) != factorial(n):
             raise RuntimeError(
                 f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: "
-                f"{len(images)} images kept, |Aut| = {len(stabilizer)}, "
-                f"{len(members)} of its {expected} normal forms in the scan"
+                f"{len(images)} images, |Aut| = {len(stabilizer)}"
             )
-        unclaimed -= members
+        normal = {image for image in images if image[::n] == flat[::n]}
+        if not normal <= unclaimed:
+            raise RuntimeError(
+                f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: its normal form "
+                f"{QuandleMatrix.from_flat(min(normal - unclaimed), n)!r} is missing from the scan"
+            )
+        unclaimed -= normal
         yield walk
 
 

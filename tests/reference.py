@@ -1,7 +1,8 @@
 """Slow reference implementations that the library's fast paths are checked against."""
 
 import itertools
-from math import gcd
+from collections import Counter
+from math import factorial, gcd
 
 from quandles import Permutation, QuandleMatrix, QuandleParseError, VerificationReport, permute
 from quandles._kernel import KEEP_ALL, KEEP_COLUMN0
@@ -97,6 +98,29 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
         if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
             images.add(cand)
     return least, witness, stabilizer, images
+
+
+def normal_forms_in_class(flat: bytes, n: int, aut_order: int) -> int:
+    """How many tables in the scan's normal form share the class of `flat`, itself one, by theory.
+
+    A relabelling rho maps the table into normal form exactly when it sends
+    some x whose R_x has the greatest cycle type t to 0 and conjugates R_x
+    onto R_0; for each such x those rho are a coset of the centralizer of
+    R_0 among permutations fixing 0, of order c(t) = prod k^m_k m_k! over t
+    less one fixed point.  Each image is reached |Aut| times, so the count
+    is #max * c(t) / |Aut|, #max the columns of type t.  Cycle types come
+    from Permutation.cycles, not from the kernel.
+    """
+
+    def cycle_type(column):
+        lengths = [len(c) for c in Permutation(column).cycles()]
+        return tuple(sorted(lengths + [1] * (n - sum(lengths)), reverse=True))
+
+    types = [cycle_type(flat[j::n]) for j in range(n)]
+    centralizer = 1
+    for length, mult in Counter(types[0][:-1]).items():
+        centralizer *= length**mult * factorial(mult)
+    return types.count(types[0]) * centralizer // aut_order
 
 
 def orbits_by_warshall(degree: int, maps) -> tuple[tuple[int, ...], ...]:

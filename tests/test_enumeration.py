@@ -17,8 +17,8 @@ from quandles import (
     trivial,
 )
 from quandles import _kernel, cli
-from quandles.permutation import Permutation
 
+import reference
 import tables
 
 
@@ -86,26 +86,21 @@ def test_flags_match_independent_definitions(fastest_kernel):
         assert counts == FLAG_COUNTS[n]
 
 
-def _cycle_type(column):
-    lengths = [len(c) for c in Permutation(column).cycles()]
-    return tuple(sorted(lengths + [1] * (len(column) - sum(lengths)), reverse=True))
-
-
 def test_normal_forms_in_class_counts_the_scanned_tables_of_each_class(fastest_kernel):
-    # the scan check's prediction, against the count of scanned tables in each
-    # class's whole orbit; one types dict serves a whole order, as in a run
-    for n in range(1, 7):
+    # the theory's count of normal forms, which no runtime check reads, against
+    # the scanned tables in each class's whole orbit; order 7 on the compiled kernel
+    sizes = {7: (1405, 298)} if fastest_kernel == "c" else {}
+    for n in [*range(1, 7), *sizes]:
         flats = set(_kernel.scan(n)[0])
-        types = {}
-        for rec in enumerate_classes(n).classes:
+        classes = enumerate_classes(n).classes
+        for rec in classes:
             _, _, stabilizer, images = _kernel.orbit(rec.representative.flat(), n, _kernel.KEEP_ALL)
             members = flats.intersection(images)
             assert members
             for flat in members:
-                assert _kernel.normal_forms_in_class(flat, n, len(stabilizer), types) == len(members)
-                assert _kernel.normal_forms_in_class(flat, n, len(stabilizer), {}) == len(members)
-        # each distinct column of a scanned table has its cycle type, fixed points included
-        assert types == {flat[j::n]: _cycle_type(flat[j::n]) for flat in flats for j in range(n)}
+                assert reference.normal_forms_in_class(flat, n, len(stabilizer)) == len(members)
+        if n in sizes:
+            assert (len(flats), len(classes)) == sizes[n]
 
 
 def test_latin_classes_order5(report_for):
@@ -280,3 +275,56 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
             enumerate_classes(5)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch|walked twice"):
             all_tables(5)
+
+
+def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
+    # the scan check reads the walk's own images, so a walk that loses a normal
+    # form of its class, other than the table walked, stops the run in both keep modes
+    orbit = _kernel.orbit
+    flats = _kernel.scan(5)[0]
+    walked = []
+
+    def recorded(flat, n, keep):
+        walked.append(flat)
+        return orbit(flat, n, keep)
+
+    monkeypatch.setattr(_kernel, "orbit", recorded)
+    report = enumerate_classes(5)
+    drops = [(table, lost) for table in walked for lost in orbit(table, 5, _kernel.KEEP_COLUMN0)[3] if lost != table]
+    assert (len(walked), len(drops)) == (22, 11)
+
+    def faulty(change):
+        def walk(flat, n, keep):
+            least, witness, stabilizer, images = orbit(flat, n, keep)
+            return least, witness, stabilizer, change(flat, images)
+
+        monkeypatch.setattr(_kernel, "orbit", walk)
+
+    for table, lost in drops:
+        faulty(lambda flat, images: images - {lost} if flat == table else images)
+        with pytest.raises(RuntimeError, match="walked twice"):
+            enumerate_classes(5)
+        with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
+            all_tables(5)
+    # an added image with another column 0 (a scanned table of another class)
+    # breaks the kept orbit's count; the classification reads no such image
+    for table in walked:
+        stray = next(flat for flat in flats if flat[::5] != table[::5])
+        faulty(lambda flat, images: images | {stray} if flat == table else images)
+        with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
+            all_tables(5)
+        assert enumerate_classes(5).classes == report.classes
+
+
+def test_scan_mismatch_names_the_missing_normal_form(monkeypatch):
+    # with one scanned table dropped, its class's walk names that table
+    flats = _kernel.scan(5)[0]
+    shared = [k for k, flat in enumerate(flats) if len(_kernel.orbit(flat, 5, _kernel.KEEP_COLUMN0)[3]) > 1]
+    assert len(shared) == 18
+    for k in shared:
+        partial = flats[:k] + flats[k + 1 :]
+        monkeypatch.setattr(_kernel, "scan", lambda n, cap: (partial, 0, False))
+        message = re.escape(f"normal form {QuandleMatrix.from_flat(flats[k], 5)!r} is missing from the scan")
+        for run in (enumerate_classes, all_tables):
+            with pytest.raises(RuntimeError, match=f"^orbit-stabilizer mismatch .*{message}$"):
+                run(5)
