@@ -1,5 +1,8 @@
 /* Compiled kernels for quandles._kernel: the column scan, the relabelling
-   walk and the one-pass invariants of a permutation group.
+   walk and the one-pass invariants of a permutation group.  The walk that
+   keeps every image runs twice over the relabellings: once for the least
+   image and the stabilizer, then once more to build one image per coset of
+   the stabilizer.
 
    All three must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
@@ -239,10 +242,67 @@ PyDoc_STRVAR(orbit_doc,
 "Mirror of quandles._kernel._orbit_pure: one walk over the n! relabellings\n"
 "of a row-major 1-based table, in lexicographic order.  `keep` selects the\n"
 "images returned: 0 none, 1 those sharing the table's column 0, 2 all.\n"
-"Any other image is built row by row and abandoned once it is greater than\n"
-"the least so far and differs from the table.  Bytes are made only for\n"
-"stabilizer elements, kept images and, at the end, the least image and its\n"
-"witness.");
+"Any image not kept by 1 is built row by row and abandoned once it is\n"
+"greater than the least so far and differs from the table.  Under 2 a\n"
+"second walk builds the image of each relabelling that is least in its\n"
+"coset of the stabilizer, n!/|Aut| of them, and raises RuntimeError on an\n"
+"image built twice.  Bytes are made only for stabilizer elements, kept\n"
+"images and, at the end, the least image and its witness.");
+
+/* Add to `images` the image of each relabelling p that is least in its coset
+   p∘Aut, Aut being the 1-based `stabilizer` words.  p∘a first differs from p
+   at the least point i that a moves, so p is least exactly when
+   p(i) < p(a(i)) for every a != id: one check per pair (i, a(i)), the keys of
+   group_invariants' strong generating set.  So each image is built once; an
+   image built twice means the pairs let through too much, and is a
+   RuntimeError.  Returns 0, or -1 with an exception set.  Not inlined: inlined
+   into orbit, it slowed the walk that keeps no image by 2-3% (gcc -O3, x86-64). */
+Py_NO_INLINE static int
+coset_images(PyObject *images, PyObject *stabilizer, const unsigned char *table, int n)
+{
+    unsigned char seen[MAX_ORDER][MAX_ORDER] = {{0}};
+    int first[MAX_ORDER * MAX_ORDER], second[MAX_ORDER * MAX_ORDER], pairs = 0;
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(stabilizer); k++) {
+        const unsigned char *w = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(stabilizer, k));
+        int i = 0;
+        while (i < n && w[i] == i + 1)
+            i++;
+        if (i < n && !seen[i][w[i] - 1]) {
+            seen[i][w[i] - 1] = 1;
+            first[pairs] = i;
+            second[pairs++] = w[i] - 1;
+        }
+    }
+    unsigned char cur[MAX_ORDER * MAX_ORDER];
+    int p[MAX_ORDER];
+    for (int i = 0; i < n; i++)
+        p[i] = i;
+    do {
+        int k = 0;
+        while (k < pairs && p[first[k]] < p[second[k]])
+            k++;
+        if (k < pairs)
+            continue;
+        /* out[p i][p j] = p(table[i][j]) + 1 */
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+                cur[p[i] * n + p[j]] = (unsigned char)(p[table[i * n + j]] + 1);
+        PyObject *image = PyBytes_FromStringAndSize((const char *)cur, n * n);
+        if (image == NULL)
+            return -1;
+        const Py_ssize_t before = PySet_GET_SIZE(images);
+        const int err = PySet_Add(images, image);
+        Py_DECREF(image);
+        if (err < 0)
+            return -1;
+        if (PySet_GET_SIZE(images) == before) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "orbit built an image twice: two relabellings of one coset of Aut passed as least");
+            return -1;
+        }
+    } while (next_permutation(p, n));
+    return 0;
+}
 
 static PyObject *
 orbit(PyObject *self, PyObject *args)
@@ -293,17 +353,15 @@ orbit(PyObject *self, PyObject *args)
         for (int i = changed - 1; i < n; i++)
             inv[p[i]] = i;
         /* out[a][b] = p(table[inv a][inv b]) + 1; under keep 1, column 0 alone
-           decides whether the image is kept */
-        int kept = keep == 2;
-        if (keep == 1) {
-            kept = 1;
-            for (int a = 0; a < n && kept; a++)
-                kept = p[table[inv[a] * n + inv[0]]] + 1 == src[a * n];
-        }
+           decides whether the image is kept, and keep 2 builds its images after
+           this walk */
+        int kept = keep == 1;
+        for (int a = 0; a < n && kept; a++)
+            kept = p[table[inv[a] * n + inv[0]]] + 1 == src[a * n];
         int order = 0, fixed = 1;
         if (kept) {
-            /* nothing to drop, so build it whole without the entry loop's checks,
-               which would cost --all about half again: out[p i][p j] = p(table[i][j]) + 1 */
+            /* a kept image is built whole, so the entry loop's early exit would
+               only add checks: out[p i][p j] = p(table[i][j]) + 1 */
             for (int i = 0; i < n; i++)
                 for (int j = 0; j < n; j++)
                     cur[p[i] * n + p[j]] = (unsigned char)(p[table[i * n + j]] + 1);
@@ -348,6 +406,8 @@ orbit(PyObject *self, PyObject *args)
     next:
         changed = next_permutation(p, n);
     } while (changed);
+    if (keep == 2 && coset_images(images, stabilizer, table, n) < 0)
+        goto fail;
     PyBuffer_Release(&view);
     return Py_BuildValue("(y#y#NN)", (const char *)least, (Py_ssize_t)nn,
                          (const char *)witness, (Py_ssize_t)n, stabilizer, images);

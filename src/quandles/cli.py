@@ -16,6 +16,7 @@ from ._kernel import DEFAULT_CAP, MAX_ORDER, backend
 from .enumeration import (
     EnumerationReport,
     ResourceLimitError,
+    _table_blob,
     all_tables,
     enumerate_classes,
 )
@@ -180,17 +181,18 @@ def _print_classes_human(report: EnumerationReport) -> None:
 _DIGITS = bytes.maketrans(bytes(range(1, 11)), b"123456789:")
 
 
-def _machine_lines(flats: list[bytes], n: int) -> str:
-    """to_machine_line of each row-major 1-based table, one per line, built in bulk."""
+def _machine_lines(blob: bytes, n: int) -> str:
+    """to_machine_line of each row-major 1-based table in the concatenation `blob`, one
+    per line, built in bulk."""
     nn = n * n
-    text = bytearray(2 * nn * len(flats))
-    text[0::2] = b"".join(flats).translate(_DIGITS)
-    text[1::2] = (b"," * (nn - 1) + b"\n") * len(flats)
+    text = bytearray(2 * len(blob))
+    text[0::2] = blob.translate(_DIGITS)
+    text[1::2] = (b"," * (nn - 1) + b"\n") * (len(blob) // nn)
     return text.replace(b":", b"10").decode()
 
 
 def _print_classes_machine(report: EnumerationReport) -> None:
-    tables = _machine_lines([rec.representative.flat() for rec in report.classes], report.n)
+    tables = _machine_lines(b"".join(rec.representative.flat() for rec in report.classes), report.n)
     sys.stdout.write("".join(
         f"{table}"
         f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
@@ -201,10 +203,10 @@ def _print_classes_machine(report: EnumerationReport) -> None:
 
 def _cmd_enumerate(args) -> int:
     if args.all:
-        flats = all_tables(args.n, cap=args.cap)
         if args.machine:
-            sys.stdout.write(_machine_lines(flats, args.n))
+            sys.stdout.write(_machine_lines(_table_blob(args.n, args.cap), args.n))
         else:
+            flats = all_tables(args.n, cap=args.cap)
             print(f"order {args.n}: {len(flats)} standard-form matrices")
             for flat in flats:
                 print()

@@ -34,8 +34,10 @@ class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed its budget instead of hanging.
 
     The budget is charged one unit per column placement of the scan and n!
-    per table the scan keeps, the relabellings that deduplicating it may
-    walk; the scan stops at the first charge past the cap, before any walk.
+    per table the scan keeps, the relabellings that one pass of the walk
+    deduplicating it may visit; the scan stops at the first charge past the
+    cap, before any walk.  all_tables' compiled walk makes two passes, so
+    it visits up to 2 * n! relabellings per walked class under that charge.
     """
 
     def __init__(self, n: int, placements: int, cap: int, relabellings: int):
@@ -77,7 +79,8 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     as it goes: those sharing `flat`'s column 0 are the class's normal
     forms, and each must be a scanned table not yet claimed; the walk then
     claims them.  A kept orbit must number n! / |Aut|.  A scanned table
-    outside the normal forms of its class shows as a class walked twice.
+    outside the normal forms of its class, or one that the class's walk
+    lost from its normal forms, shows as a class walked twice.
     """
     if operator.index(cap) < 1:  # 0.5 is a TypeError, like every non-integral cap
         raise ValueError("cap must be positive")
@@ -95,8 +98,9 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
         least, _, stabilizer, images = walk
         if least in walked:
             raise RuntimeError(
-                f"class of {QuandleMatrix.from_flat(least, n)!r} walked twice: "
-                "the scan kept a table outside its normal forms"
+                f"class of {QuandleMatrix.from_flat(least, n)!r} walked twice, the second time from "
+                f"{QuandleMatrix.from_flat(flat, n)!r}: either the scan kept a table outside its "
+                "normal forms or an earlier walk of the class lost that table from its normal forms"
             )
         walked.add(least)
         if keep == _kernel.KEEP_ALL and len(images) * len(stabilizer) != factorial(n):
@@ -124,6 +128,16 @@ def _transpose(blob: bytes, n: int) -> bytes:
     return bytes(out)
 
 
+def _table_blob(n: int, cap: int) -> bytes:
+    """The all_tables(n, cap=cap) tables concatenated in their order, for callers that
+    need no list of them.  Raises as all_tables does."""
+    nn = n * n
+    orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)
+    by_column = _transpose(b"".join(b"".join(images) for *_, images in orbits), n)
+    ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
+    return _transpose(b"".join(ordered), n)
+
+
 def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
     """Every standard-form quandle table of order n, as row-major 1-based bytes.
 
@@ -131,14 +145,13 @@ def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
     lexicographic order of the column tuples.  Raises ResourceLimitError
     before any orbit walk when the budget `cap` does not cover the scan and
     n! relabellings per scanned table; under the default cap that happens
-    first at n = 9.  A cap below 1 is a ValueError, a non-integral one a
-    TypeError.
+    first at n = 9.  The compiled walk visits up to 2 * n! relabellings per
+    walked class, one pass for Aut and one for the images, under that same
+    charge of n! per kept table.  A cap below 1 is a ValueError, a
+    non-integral one a TypeError.
     """
     nn = n * n
-    orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)
-    by_column = _transpose(b"".join(b"".join(images) for *_, images in orbits), n)
-    ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
-    rows = _transpose(b"".join(ordered), n)
+    rows = _table_blob(n, cap)
     return [rows[k : k + nn] for k in range(0, len(rows), nn)]
 
 

@@ -302,7 +302,14 @@ def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
 
     for table, lost in drops:
         faulty(lambda flat, images: images - {lost} if flat == table else images)
-        with pytest.raises(RuntimeError, match="walked twice"):
+        # the lost normal form is walked again, and the message names both causes
+        least = QuandleMatrix.from_flat(orbit(table, 5, _kernel.KEEP_NONE)[0], 5)
+        message = (
+            f"class of {least!r} walked twice, the second time from {QuandleMatrix.from_flat(lost, 5)!r}: "
+            "either the scan kept a table outside its normal forms or an earlier walk of the class "
+            "lost that table from its normal forms"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             enumerate_classes(5)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
             all_tables(5)

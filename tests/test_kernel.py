@@ -25,6 +25,7 @@ from quandles import (
     enumerate_classes,
     np_count,
     permute,
+    trivial,
 )
 from quandles.cli import main
 
@@ -188,6 +189,23 @@ def test_orbit_backends_agree_on_order6_classes(compiled):
     assert len(classes) == 73
     for rec in classes:
         _same_orbit(compiled, rec.representative.flat(), 6)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [trivial(7), trivial(8), dihedral(8), alexander(8, [3, 1])],
+    ids=["trivial7", "trivial8", "dihedral8", "alexander8"],
+)
+def test_orbit_backends_agree_past_order6(table, compiled):
+    # Aut of S_7, S_8, order 32 and order 128: many coset pairs for KEEP_ALL's second pass
+    _same_orbit(compiled, table.flat(), table.n)
+
+
+def test_orbit_backends_agree_on_connected_order7_classes(compiled):
+    connected = [rec for rec in enumerate_classes(7).classes if rec.connected]
+    assert len(connected) == 5
+    for rec in connected:
+        _same_orbit(compiled, rec.representative.flat(), 7)
 
 
 def test_orbit_images_and_stabilizer(fastest_kernel):
