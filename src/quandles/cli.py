@@ -132,26 +132,6 @@ def _cmd_aut(args) -> int:
     return EXIT_OK
 
 
-def _cmd_canon(args) -> int:
-    print(canonical_form(_load(args.file, walked=True)).to_text())
-    return EXIT_OK
-
-
-def _cmd_np(args) -> int:
-    print(np_count(_load(args.file, walked=True)))
-    return EXIT_OK
-
-
-def _cmd_dual(args) -> int:
-    print(_load(args.file).dual().to_text())
-    return EXIT_OK
-
-
-def _cmd_det(args) -> int:
-    print(determinant(_load(args.file)))
-    return EXIT_OK
-
-
 def _cmd_make(args) -> int:
     try:
         m = construct.make(args.constructor)
@@ -181,22 +161,26 @@ def _print_classes_human(report: EnumerationReport) -> None:
 _DIGITS = bytes.maketrans(bytes(range(1, 11)), b"123456789:")
 
 
-def _machine_lines(blob: bytes, n: int) -> str:
+def _machine_lines(blob: bytes, n: int) -> bytearray:
     """to_machine_line of each row-major 1-based table in the concatenation `blob`, one
-    per line, built in bulk."""
-    nn = n * n
+    per line, as bytes; built in bulk, 256 tables at a time, so that no temporary
+    holds more than that much of the text."""
+    step = 256 * n * n
+    ends = (b"," * (n * n - 1) + b"\n") * 256
     text = bytearray(2 * len(blob))
-    text[0::2] = blob.translate(_DIGITS)
-    text[1::2] = (b"," * (nn - 1) + b"\n") * (len(blob) // nn)
-    return text.replace(b":", b"10").decode()
+    for at in range(0, len(blob), step):
+        block = blob[at:at + step]
+        text[2 * at:2 * (at + len(block)):2] = block.translate(_DIGITS)
+        text[2 * at + 1:2 * (at + len(block)):2] = ends[:len(block)]
+    return text.replace(b":", b"10") if n == 10 else text
 
 
 def _print_classes_machine(report: EnumerationReport) -> None:
     tables = _machine_lines(b"".join(rec.representative.flat() for rec in report.classes), report.n)
-    sys.stdout.write("".join(
-        f"{table}"
-        f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
-        f"latin={int(rec.latin)} connected={int(rec.connected)}\n"
+    sys.stdout.flush()
+    sys.stdout.buffer.write(b"".join(
+        table + f"aut={rec.aut_order}:{rec.aut_id.label} np={rec.np} "
+        f"latin={int(rec.latin)} connected={int(rec.connected)}\n".encode()
         for table, rec in zip(tables.splitlines(keepends=True), report.classes)
     ))
 
@@ -204,7 +188,9 @@ def _print_classes_machine(report: EnumerationReport) -> None:
 def _cmd_enumerate(args) -> int:
     if args.all:
         if args.machine:
-            sys.stdout.write(_machine_lines(_table_blob(args.n, args.cap), args.n))
+            # both --machine streams go to the byte layer, after what the text layer holds
+            sys.stdout.flush()
+            sys.stdout.buffer.write(_machine_lines(_table_blob(args.n, args.cap), args.n))
         else:
             flats = all_tables(args.n, cap=args.cap)
             print(f"order {args.n}: {len(flats)} standard-form matrices")
@@ -221,79 +207,79 @@ def _cmd_enumerate(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _show(value) -> int:
+    print(value)
+    return EXIT_OK
+
+
+_FILE = (("file", {}),)
+
+# name -> (handler, help, arguments as (name or flag, add_argument keywords)), in
+# the order `quandle --help` lists them
+COMMANDS = {
+    "verify": (_cmd_verify, "check the three quandle-table conditions",
+               (("file", {"help": "matrix file, or - for stdin"}),)),
+    "props": (_cmd_props, "print order, trace, latin/connected flags, orbits, Aut data", _FILE),
+    "iso": (_cmd_iso, "find a relabelling witness between two tables", (("file_a", {}), ("file_b", {}))),
+    "aut": (_cmd_aut, "print the automorphism group", _FILE),
+    "canon": (lambda args: _show(canonical_form(_load(args.file, walked=True)).to_text()),
+              "print the canonical form", _FILE),
+    "np": (lambda args: _show(np_count(_load(args.file, walked=True))),
+           "print the number of standard-form tables in the class", _FILE),
+    "dual": (lambda args: _show(_load(args.file).dual().to_text()), "print the dual table", _FILE),
+    "det": (lambda args: _show(determinant(_load(args.file))),
+            "print the exact determinant of the entry matrix", _FILE),
+    "make": (_cmd_make, "build a named quandle, e.g. trivial:3 or dihedral:5",
+             (("constructor", {"help": "trivial:<n> | dihedral:<n> | alexander:<m>:<coeffs> | "
+                                       "conj:<degree>:<elements>[:<exponent>]"}),)),
+    "enumerate": (_cmd_enumerate, "classify all quandles of one order", (
+        ("n", {"type": int}),
+        ("--jobs", {"type": int, "choices": (1,), "default": 1,
+                    "help": "accepted for compatibility; the scan is serial"}),
+        ("--all", {"action": "store_true", "help": "emit every table instead of classes"}),
+        ("--machine", {"action": "store_true", "help": "line-oriented machine format"}),
+        ("--cap", {"type": _positive_int, "default": DEFAULT_CAP,
+                   "help": "budget: the scan charges 1 per tried candidate column and n! "
+                   "per kept table, and aborts (exit 3) at the first charge past it"}),
+    )),
+    "backend": (lambda args: _show(backend()), "report which scan kernel is active", ()),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `quandle` parser, with the subparser of `command` alone when it names one,
+    else with every subparser."""
     parser = argparse.ArgumentParser(
         prog="quandle",
         description="Finite quandle tables: validation, invariants, isomorphism, enumeration.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check the three quandle-table conditions")
-    p.add_argument("file", help="matrix file, or - for stdin")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("props", help="print order, trace, latin/connected flags, orbits, Aut data")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_props)
-
-    p = sub.add_parser("iso", help="find a relabelling witness between two tables")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("aut", help="print the automorphism group")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_aut)
-
-    p = sub.add_parser("canon", help="print the canonical form")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("np", help="print the number of standard-form tables in the class")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_np)
-
-    p = sub.add_parser("dual", help="print the dual table")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("det", help="print the exact determinant of the entry matrix")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_det)
-
-    p = sub.add_parser("make", help="build a named quandle, e.g. trivial:3 or dihedral:5")
-    p.add_argument(
-        "constructor",
-        help="trivial:<n> | dihedral:<n> | alexander:<m>:<coeffs> | "
-        "conj:<degree>:<elements>[:<exponent>]",
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a usage line printed with one subparser built still lists every command
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
     )
-    p.set_defaults(func=_cmd_make)
-
-    p = sub.add_parser("enumerate", help="classify all quandles of one order")
-    p.add_argument("n", type=int)
-    p.add_argument("--jobs", type=int, choices=(1,), default=1,
-                   help="accepted for compatibility; the scan is serial")
-    p.add_argument("--all", action="store_true", help="emit every table instead of classes")
-    p.add_argument("--machine", action="store_true", help="line-oriented machine format")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                   help="budget: the scan charges 1 per tried candidate column and n! "
-                   "per kept table, and aborts (exit 3) at the first charge past it")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("backend", help="report which scan kernel is active")
-    p.set_defaults(func=lambda args: (print(backend()), EXIT_OK)[1])
-
+    for name in names:
+        func, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except _Invalid as exc:

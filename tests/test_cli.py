@@ -1,12 +1,16 @@
+import argparse
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from quandles import QuandleMatrix, _kernel, dihedral, parse_matrix, trivial
-from quandles.cli import main
+from quandles.cli import COMMANDS, _machine_lines, build_parser, main
+from quandles.enumeration import _table_blob
 
 import tables
 
@@ -346,7 +350,7 @@ def test_enumerate_order_out_of_range(capsys):
         assert "order must be in 1..10" in err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])
     assert exc.value.code == 2
@@ -356,10 +360,95 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "4", "--strategy", "closure"])  # one scan, no strategies
     assert exc.value.code == 2
-    for cap in ("0", "-5"):
+    for cap, message in (
+        ("0", "must be at least 1, got 0"),
+        ("-5", "must be at least 1, got -5"),
+        ("x", "must be a positive integer, got 'x'"),
+    ):
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "3", "--cap", cap])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"quandle enumerate: error: argument --cap: {message}\n")
+
+
+USAGE = {
+    "verify": "quandle verify [-h] file",
+    "props": "quandle props [-h] file",
+    "iso": "quandle iso [-h] file_a file_b",
+    "aut": "quandle aut [-h] file",
+    "canon": "quandle canon [-h] file",
+    "np": "quandle np [-h] file",
+    "dual": "quandle dual [-h] file",
+    "det": "quandle det [-h] file",
+    "make": "quandle make [-h] constructor",
+    "enumerate": "quandle enumerate [-h] [--jobs {1}] [--all] [--machine] [--cap CAP] n",
+    "backend": "quandle backend [-h]",
+}
+ALL_COMMANDS = "{verify,props,iso,aut,canon,np,dual,det,make,enumerate,backend}"
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["enumerate", "4", "--machine"]) == 0
+    assert added == ["enumerate"]
+    # with no command named, every subparser is built, and help lists them all
+    added.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert added == list(COMMANDS) == list(USAGE)
+    help_lines = capsys.readouterr().out.splitlines()
+    assert f"  {ALL_COMMANDS}" in help_lines
+    assert [line.split()[0] for line in help_lines if line[:4] == "    " and line[4:5].isalpha()] == list(USAGE)
+    for command, usage in USAGE.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"usage: {usage}"
+    # an error the top-level parser reports still shows every command, with one built
+    added.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["backend", "extra"])
+    assert (exc.value.code, added) == (2, ["backend"])
+    err = capsys.readouterr().err
+    assert ALL_COMMANDS in err
+    assert err == build_parser().format_usage() + "quandle: error: unrecognized arguments: extra\n"
+
+
+def test_machine_lines_match_each_tables_machine_line():
+    # more than one 256-table block at order 10, each row a permutation of 1..10, so
+    # the ':' -> '10' replacement lands in every row, at the start, middle and end of lines
+    rng = random.Random(21)
+    for n in range(1, 11):
+        ms = [trivial(n), dihedral(n)]
+        if n == 10:
+            ms += [QuandleMatrix(rng.sample(range(1, 11), 10) for _ in range(10)) for _ in range(300)]
+            assert {row.index(10) for m in ms[2:] for row in m.rows} == set(range(10))
+        want = "".join(m.to_machine_line() + "\n" for m in ms).encode()
+        assert _machine_lines(b"".join(m.flat() for m in ms), n) == want
+
+
+def test_machine_lines_holds_one_copy_of_the_text(fastest_kernel):
+    # the text is twice the blob; no temporary copy of the whole of it is made
+    blob = _table_blob(6, _kernel.DEFAULT_CAP)
+    assert len(blob) == 6658 * 36
+    tracemalloc.start()
+    try:
+        text = _machine_lines(blob, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 2 * len(blob)
+    assert peak <= 2 * len(blob) + 64 * 1024
 
 
 def test_backend_subcommand(capsys):
