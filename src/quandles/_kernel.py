@@ -8,10 +8,10 @@ when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
 backends are required to return byte-identical results, including the
 placement counts used for resource capping.
 
-The compiled walk abandons an image once it is greater than the least so
-far and is not the table itself.  When every image is asked for, a second
-pass over the relabellings builds the image of each one that is least in
-its coset of the stabilizer, so it builds n!/|Aut| images, not n!.
+The compiled walk is one loop for every keep mode: it abandons an image
+once it is greater than the least so far and is not the table itself.
+When images are kept, one coset pass then builds the kept image of each
+relabelling least in its coset of the stabilizer, so each image once.
 
 The pure walk splits each relabelling rho as base∘s, where s permutes only
 the last k = min(n - 1, 6) points and base takes rho's first n - k images,
@@ -109,10 +109,10 @@ def scan(n: int, *, cap: int = DEFAULT_CAP) -> tuple[list[bytes], int, bool]:
     placements + n! * (kept tables): a placement is one tried candidate
     (skipped and forced columns are free), and n! the relabellings one pass
     of the walk over a kept table's class visits; the compiled walk that
-    keeps every image makes two such passes.  The scan stops at the first
-    placement or kept table that takes it past `cap`, returning (output so
-    far, placements, True); otherwise it returns (every table, placements,
-    False).
+    keeps images, as classification does, makes two.  The scan stops at
+    the first placement or kept table that takes it past `cap`, returning
+    (output so far, placements, True); otherwise it returns (every table,
+    placements, False).
     """
     cap = operator.index(cap)  # a non-integral cap is a TypeError on both backends, before any placement
     if not 1 <= n <= MAX_ORDER:
@@ -213,13 +213,13 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     `flat`'s (KEEP_COLUMN0; for a table in scan's normal form, exactly the
     normal forms of its class) or all of them (KEEP_ALL, with
     len(images) * len(stabilizer) == n!).  No other image is kept.  The
-    compiled walk makes no object for one and abandons it once it is
-    greater than the least so far and differs from `flat`; under KEEP_ALL
-    it then walks the n! relabellings again and builds the image of each
-    one that is least in its coset rho∘Aut, so each image once (an image
-    built twice is a RuntimeError).  The pure walk builds the images of one
-    prefix block at a time (see the module docstring), so it holds at most
-    6! of them besides its results.
+    compiled walk is one loop for every `keep`: it makes no object for an
+    image and abandons it once it is greater than the least so far and
+    differs from `flat`.  When images are kept, a coset pass then builds the
+    kept image of each relabelling least in its coset rho∘Aut, so each image
+    once (an image built twice is a RuntimeError).  The pure walk builds the
+    images of one prefix block at a time (see the module docstring), so it
+    holds at most 6! of them besides its results.
     Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n, every
     entry lies in 1..n and `keep` is one of the three.
 

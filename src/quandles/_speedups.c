@@ -1,8 +1,7 @@
 /* Compiled kernels for quandles._kernel: the column scan, the relabelling
-   walk and the one-pass invariants of a permutation group.  The walk that
-   keeps every image runs twice over the relabellings: once for the least
-   image and the stabilizer, then once more to build one image per coset of
-   the stabilizer.
+   walk and the one-pass invariants of a permutation group.  The walk is one
+   loop, the same for every keep mode; a walk that keeps images adds one
+   coset pass, which builds each kept image once.
 
    All three must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
@@ -240,44 +239,53 @@ scan(PyObject *self, PyObject *args)
 PyDoc_STRVAR(orbit_doc,
 "orbit(flat, n, keep) -> (least, witness, stabilizer, images)\n\n"
 "Mirror of quandles._kernel._orbit_pure: one walk over the n! relabellings\n"
-"of a row-major 1-based table, in lexicographic order.  `keep` selects the\n"
-"images returned: 0 none, 1 those sharing the table's column 0, 2 all.\n"
-"Any image not kept by 1 is built row by row and abandoned once it is\n"
-"greater than the least so far and differs from the table.  Under 2 a\n"
-"second walk builds the image of each relabelling that is least in its\n"
-"coset of the stabilizer, n!/|Aut| of them, and raises RuntimeError on an\n"
-"image built twice.  Bytes are made only for stabilizer elements, kept\n"
-"images and, at the end, the least image and its witness.");
+"of a row-major 1-based table, in lexicographic order, the same for every\n"
+"`keep`: an image is abandoned once it is greater than the least so far and\n"
+"differs from the table.  `keep` selects the images returned: 0 none, 1 those\n"
+"sharing the table's column 0, 2 all.  Under 1 and 2 one more pass builds the\n"
+"kept image of each relabelling least in its coset of the stabilizer, so each\n"
+"image once, and raises RuntimeError on an image built twice.  Bytes are made\n"
+"only for stabilizer elements, kept images, the least image and its witness.");
 
 /* Add to `images` the image of each relabelling p that is least in its coset
-   p∘Aut, Aut being the 1-based `stabilizer` words.  p∘a first differs from p
-   at the least point i that a moves, so p is least exactly when
-   p(i) < p(a(i)) for every a != id: one check per pair (i, a(i)), the keys of
-   group_invariants' strong generating set.  So each image is built once; an
-   image built twice means the pairs let through too much, and is a
-   RuntimeError.  Returns 0, or -1 with an exception set.  Not inlined: inlined
-   into orbit, it slowed the walk that keeps no image by 2-3% (gcc -O3, x86-64). */
+   p∘Aut and, under `column0`, keeps the table's column 0.  The pairs
+   (first[k], second[k]) are the distinct (i, a(i)) of the automorphisms
+   a != id, i the least point that a moves, the keys of group_invariants'
+   strong generating set.  p∘a first differs from p at i, so p is least
+   exactly when p(i) < p(a(i)) for every pair.  A coset has one image, so
+   each image is built once; one built twice means the pairs let through too
+   much, and is a RuntimeError.  Under `column0` the pass walks s = p^-1 and
+   tests column 0, s R_0 s^-1 = R_{s(0)}, before it makes p; a test that
+   fails on s[0..m] skips every s sharing them.  Returns 0, or -1 with an
+   exception set.  Not inlined: inlined into orbit, it slowed the walk that
+   keeps no image by 2-3% (gcc -O3, x86-64). */
 Py_NO_INLINE static int
-coset_images(PyObject *images, PyObject *stabilizer, const unsigned char *table, int n)
+coset_images(PyObject *images, const int *first, const int *second, int pairs,
+             const unsigned char *table, int n, int column0)
 {
-    unsigned char seen[MAX_ORDER][MAX_ORDER] = {{0}};
-    int first[MAX_ORDER * MAX_ORDER], second[MAX_ORDER * MAX_ORDER], pairs = 0;
-    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(stabilizer); k++) {
-        const unsigned char *w = (const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(stabilizer, k));
-        int i = 0;
-        while (i < n && w[i] == i + 1)
-            i++;
-        if (i < n && !seen[i][w[i] - 1]) {
-            seen[i][w[i] - 1] = 1;
-            first[pairs] = i;
-            second[pairs++] = w[i] - 1;
-        }
-    }
     unsigned char cur[MAX_ORDER * MAX_ORDER];
-    int p[MAX_ORDER];
+    int w[MAX_ORDER], inv[MAX_ORDER]; /* w, in lexicographic order, is p, or s under column0 */
     for (int i = 0; i < n; i++)
-        p[i] = i;
+        w[i] = i;
     do {
+        const int *p = w;
+        if (column0) {
+            int x = 1; /* column 0 holds when R_{s(0)}(s(x)) = s(R_0(x)) for every x */
+            while (x < n && table[w[x] * n + w[0]] == w[table[x * n]])
+                x++;
+            if (x < n) { /* it fails for every s sharing s[0..m]: go to the last, rest descending */
+                const int m = x > table[x * n] ? x : table[x * n];
+                for (int i = m + 2; i < n; i++)
+                    for (int j = i, t = w[j]; j > m + 1 && w[j - 1] < t; j--) {
+                        w[j] = w[j - 1];
+                        w[j - 1] = t;
+                    }
+                continue;
+            }
+            for (int i = 0; i < n; i++)
+                inv[w[i]] = i;
+            p = inv;
+        }
         int k = 0;
         while (k < pairs && p[first[k]] < p[second[k]])
             k++;
@@ -300,7 +308,7 @@ coset_images(PyObject *images, PyObject *stabilizer, const unsigned char *table,
                             "orbit built an image twice: two relabellings of one coset of Aut passed as least");
             return -1;
         }
-    } while (next_permutation(p, n));
+    } while (next_permutation(w, n));
     return 0;
 }
 
@@ -314,6 +322,7 @@ orbit(PyObject *self, PyObject *args)
     unsigned char least[MAX_ORDER * MAX_ORDER];
     unsigned char word[MAX_ORDER], witness[MAX_ORDER];
     int p[MAX_ORDER], inv[MAX_ORDER];
+    int first[MAX_ORDER * MAX_ORDER], second[MAX_ORDER * MAX_ORDER], pairs = 0;
     PyObject *stabilizer = NULL, *images = NULL;
 
     if (!PyArg_ParseTuple(args, "y*ii", &view, &n, &keep))
@@ -352,34 +361,19 @@ orbit(PyObject *self, PyObject *args)
     do {
         for (int i = changed - 1; i < n; i++)
             inv[p[i]] = i;
-        /* out[a][b] = p(table[inv a][inv b]) + 1; under keep 1, column 0 alone
-           decides whether the image is kept, and keep 2 builds its images after
-           this walk */
-        int kept = keep == 1;
-        for (int a = 0; a < n && kept; a++)
-            kept = p[table[inv[a] * n + inv[0]]] + 1 == src[a * n];
+        /* out[a][b] = p(table[inv a][inv b]) + 1, entry by entry, until it is
+           known to be greater than the least and not fixed */
         int order = 0, fixed = 1;
-        if (kept) {
-            /* a kept image is built whole, so the entry loop's early exit would
-               only add checks: out[p i][p j] = p(table[i][j]) + 1 */
-            for (int i = 0; i < n; i++)
-                for (int j = 0; j < n; j++)
-                    cur[p[i] * n + p[j]] = (unsigned char)(p[table[i * n + j]] + 1);
-            order = memcmp(cur, least, nn);
-            fixed = memcmp(cur, src, nn) == 0;
-        } else {
-            /* entry by entry, until it is known to be greater than the least and not fixed */
-            for (int a = 0; a < n; a++) {
-                const unsigned char *t = table + inv[a] * n;
-                for (int b = 0, k = a * n; b < n; b++, k++) {
-                    const int v = p[t[inv[b]]] + 1;
-                    cur[k] = (unsigned char)v;
-                    if (order == 0)
-                        order = v - least[k];
-                    fixed = fixed && v == src[k];
-                    if (order > 0 && !fixed)
-                        goto next;
-                }
+        for (int a = 0; a < n; a++) {
+            const unsigned char *t = table + inv[a] * n;
+            for (int b = 0, k = a * n; b < n; b++, k++) {
+                const int v = p[t[inv[b]]] + 1;
+                cur[k] = (unsigned char)v;
+                if (order == 0)
+                    order = v - least[k];
+                fixed = fixed && v == src[k];
+                if (order > 0 && !fixed)
+                    goto next;
             }
         }
         if (order < 0) {
@@ -395,18 +389,18 @@ orbit(PyObject *self, PyObject *args)
             Py_XDECREF(w);
             if (err)
                 goto fail;
-        }
-        if (kept) {
-            PyObject *image = PyBytes_FromStringAndSize((const char *)cur, nn);
-            int err = image == NULL || PySet_Add(images, image) < 0;
-            Py_XDECREF(image);
-            if (err)
-                goto fail;
+            int i = 0; /* the least moved point; automorphisms sharing (i, p(i)) are consecutive */
+            while (i < n && p[i] == i)
+                i++;
+            if (i < n && (pairs == 0 || first[pairs - 1] != i || second[pairs - 1] != p[i])) {
+                first[pairs] = i;
+                second[pairs++] = p[i];
+            }
         }
     next:
         changed = next_permutation(p, n);
     } while (changed);
-    if (keep == 2 && coset_images(images, stabilizer, table, n) < 0)
+    if (keep > 0 && coset_images(images, first, second, pairs, table, n, keep == 1) < 0)
         goto fail;
     PyBuffer_Release(&view);
     return Py_BuildValue("(y#y#NN)", (const char *)least, (Py_ssize_t)nn,

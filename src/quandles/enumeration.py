@@ -36,8 +36,8 @@ class ResourceLimitError(RuntimeError):
     The budget is charged one unit per column placement of the scan and n!
     per table the scan keeps, the relabellings that one pass of the walk
     deduplicating it may visit; the scan stops at the first charge past the
-    cap, before any walk.  all_tables' compiled walk makes two passes, so
-    it visits up to 2 * n! relabellings per walked class under that charge.
+    cap, before any walk.  The compiled walk adds a coset pass, so it visits
+    up to 2 * n! relabellings per walked class under that charge.
     """
 
     def __init__(self, n: int, placements: int, cap: int, relabellings: int):
@@ -135,7 +135,10 @@ def _table_blob(n: int, cap: int) -> bytes:
     orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)
     by_column = _transpose(b"".join(b"".join(images) for *_, images in orbits), n)
     ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
-    return _transpose(b"".join(ordered), n)
+    del by_column  # each copy goes once the next is made, so the sort is the peak
+    joined = b"".join(ordered)
+    del ordered
+    return _transpose(joined, n)
 
 
 def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
@@ -146,8 +149,8 @@ def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
     before any orbit walk when the budget `cap` does not cover the scan and
     n! relabellings per scanned table; under the default cap that happens
     first at n = 9.  The compiled walk visits up to 2 * n! relabellings per
-    walked class, one pass for Aut and one for the images, under that same
-    charge of n! per kept table.  A cap below 1 is a ValueError, a
+    walked class, one pass for Aut and one coset pass for the images, under
+    that same charge of n! per kept table.  A cap below 1 is a ValueError, a
     non-integral one a TypeError.
     """
     nn = n * n

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from quandles import QuandleMatrix, _kernel, dihedral, parse_matrix, trivial
+from quandles import QuandleMatrix, _kernel, all_tables, dihedral, parse_matrix, trivial
 from quandles.cli import COMMANDS, _machine_lines, build_parser, main
 from quandles.enumeration import _table_blob
 
@@ -191,6 +191,21 @@ def test_enumerate_all_machine(capsys):
     lines = out.splitlines()
     assert len(lines) == 5
     assert lines[0] == "1,1,1,2,2,2,3,3,3"
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_enumerate_all_human(kernel, request, capsys, monkeypatch):
+    if kernel == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    code, out, _ = _run(capsys, ["enumerate", "4", "--all"])
+    flats = all_tables(4)
+    assert (code, len(flats)) == (0, 36)
+    # the header, then each table after one blank line, in all_tables order
+    assert out == "order 4: 36 standard-form matrices\n" + "".join(
+        "\n" + QuandleMatrix.from_flat(flat, 4).to_text() + "\n" for flat in flats
+    )
 
 
 def test_enumerate_human_header(capsys):

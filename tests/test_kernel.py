@@ -184,11 +184,19 @@ def test_orbit_backends_agree(n, compiled):
         _same_orbit(compiled, flat, n)
 
 
-def test_orbit_backends_agree_on_order6_classes(compiled):
+def test_orbit_backends_agree_on_order6_classes(compiled, monkeypatch):
+    # the class representatives, and the normal forms the classification walks:
+    # on those KEEP_COLUMN0 keeps each class's normal forms, several for 40 of them
+    walked = []
+    orbit = _kernel.orbit
+    monkeypatch.setattr(_kernel, "orbit", lambda flat, n, keep: walked.append(flat) or orbit(flat, n, keep))
     classes = enumerate_classes(6).classes
-    assert len(classes) == 73
-    for rec in classes:
-        _same_orbit(compiled, rec.representative.flat(), 6)
+    assert len(classes) == len(walked) == 73
+    for flat in [rec.representative.flat() for rec in classes] + walked:
+        _same_orbit(compiled, flat, 6)
+    normal = [compiled.orbit(flat, 6, _kernel.KEEP_COLUMN0)[3] for flat in walked]
+    assert sum(len(images) > 1 for images in normal) == 40
+    assert sorted(image for images in normal for image in images) == sorted(_kernel.scan(6)[0])
 
 
 @pytest.mark.parametrize(
