@@ -11,7 +11,8 @@ placement counts used for resource capping.
 The compiled walk is one loop for every keep mode: it abandons an image
 once it is greater than the least so far and is not the table itself.
 When images are kept, one coset pass then builds the kept image of each
-relabelling least in its coset of the stabilizer, so each image once.
+relabelling least in its coset of the stabilizer, so each image once, as its
+column tuple, and one sort puts them in order.
 
 The pure walk splits each relabelling rho as base∘s, where s permutes only
 the last k = min(n - 1, 6) points and base takes rho's first n - k images,
@@ -21,7 +22,9 @@ order is held (under 1 MiB at order 10); each walk relabels its table by
 every s once, and each prefix block builds one gather for its base.  A
 relabelling then costs one gather, one bytes() and one bytes.translate,
 and the walk holds one block of k! images at a time, never n! objects
-beyond the stabilizer and the images it returns.
+beyond the stabilizer and the images it returns.  At the end it turns the
+images it keeps into column tuples: the few of KEEP_COLUMN0 with one gather
+each, the many of KEEP_ALL with one transpose of them all.
 """
 
 from __future__ import annotations
@@ -194,7 +197,8 @@ def _scan_closure_pure(n, ranks, cap):
 # which images orbit() returns: none, those sharing the input's column 0, or all
 KEEP_NONE, KEEP_COLUMN0, KEEP_ALL = 0, 1, 2
 
-Walk = tuple[bytes, bytes, list[bytes], set[bytes]]  # (least, witness, stabilizer, images)
+# (least, witness, stabilizer, images), images as sorted column tuples
+Walk = tuple[bytes, bytes, list[bytes], list[bytes]]
 
 _ONE_BASED = bytes(range(1, 256)) + b"\0"  # translate table adding 1 to every entry
 _IDENTITY = bytes(range(256))  # translate table leaving every entry as it is
@@ -212,25 +216,28 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     images that `keep` selects: none (KEEP_NONE), those whose column 0 is
     `flat`'s (KEEP_COLUMN0; for a table in scan's normal form, exactly the
     normal forms of its class) or all of them (KEEP_ALL, with
-    len(images) * len(stabilizer) == n!).  No other image is kept.  The
-    compiled walk is one loop for every `keep`: it makes no object for an
-    image and abandons it once it is greater than the least so far and
-    differs from `flat`.  When images are kept, a coset pass then builds the
-    kept image of each relabelling least in its coset rho∘Aut, so each image
-    once (an image built twice is a RuntimeError).  The pure walk builds the
-    images of one prefix block at a time (see the module docstring), so it
-    holds at most 6! of them besides its results.
+    len(images) * len(stabilizer) == n!).  No other image is kept.  Each
+    image is its column tuple, R_0 … R_{n-1} concatenated (byte j*n + i is
+    entry (i, j)), and the list is in ascending order: the order of
+    all_tables.  The compiled walk is one loop for every `keep`: it makes no
+    object for an image and abandons it once it is greater than the least so
+    far and differs from `flat`.  When images are kept, a coset pass then
+    builds the kept image of each relabelling least in its coset rho∘Aut, so
+    each image once, and sorts them (an image built twice is a
+    RuntimeError).  The pure walk builds the images of one prefix block at a
+    time (see the module docstring), so it holds at most 6! of them besides
+    its results.
     Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n, every
     entry lies in 1..n and `keep` is one of the three.
 
     The last KEEP_NONE walk of a bytes table is remembered, so canon, Aut,
     np and iso queries on one table share one walk; each call still gets
-    its own stabilizer list and image set.  Walks that keep images are
+    its own stabilizer and image lists.  Walks that keep images are
     never remembered.
     """
     if keep == KEEP_NONE and type(flat) is bytes:
         least, witness, stabilizer = _last_walk(flat, n, keep, _speedups)
-        return least, witness, list(stabilizer), set()
+        return least, witness, list(stabilizer), []
     return _walk(flat, n, keep, _speedups)
 
 
@@ -262,6 +269,25 @@ def _value_table(perm, n: int) -> bytes:
     return b"\0" + bytes(perm).translate(_ONE_BASED) + _IDENTITY[n + 1 :]
 
 
+def transpose(blob: bytes, n: int) -> bytes:
+    """The concatenation of n x n tables `blob` with each table transposed.
+
+    Transposing turns row-major tables into column tuples, and back.
+    """
+    nn = n * n
+    out = bytearray(len(blob))
+    for i in range(n):
+        for j in range(n):
+            out[i * n + j :: nn] = blob[j * n + i :: nn]
+    return bytes(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _column_gather(n: int) -> operator.itemgetter:
+    """The gather taking a row-major n*n table, n >= 2, to its entries in column-tuple order."""
+    return operator.itemgetter(*[i * n + j for j in range(n) for i in range(n)])
+
+
 @functools.lru_cache(maxsize=1)
 def _suffix_moves(n: int) -> tuple[int, tuple[tuple[operator.itemgetter, bytes, bytes], ...]]:
     """(m, moves) for the pure walk of order n >= 2, with m = n - min(n - 1, SUFFIX_POINTS).
@@ -291,7 +317,7 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     if keep not in (KEEP_NONE, KEEP_COLUMN0, KEEP_ALL):
         raise ValueError(f"keep must be {KEEP_NONE}, {KEEP_COLUMN0} or {KEEP_ALL}")
     if n == 1:  # one relabelling; a gather of one index would give an int, not a tuple
-        return flat, flat, [flat], set() if keep == KEEP_NONE else {flat}
+        return flat, flat, [flat], [] if keep == KEEP_NONE else [flat]
     # rho = base∘s: base takes rho's first m images, then the values left in
     # ascending order, and s permutes the last points.  Prefixes in order,
     # then s in order within each, is rho in order, and rho . flat is
@@ -316,8 +342,18 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
         if keep == KEEP_ALL:
             images.update(cands)
         elif keep == KEEP_COLUMN0:
-            images.update(c for c in cands if c[::n] == column0)
-    return least, witness, stabilizer, images
+            # every candidate's column 0, n bytes apiece; a match off that grid straddles two
+            heads = b"".join(cands)[::n]
+            at = heads.find(column0)
+            while at >= 0:
+                if at % n == 0:
+                    images.add(cands[at // n])
+                at = heads.find(column0, at + 1)
+    if keep == KEEP_ALL:  # past about ten images one transpose of them all beats a gather each
+        nn = n * n
+        blob = transpose(b"".join(images), n)
+        return least, witness, stabilizer, sorted(blob[k : k + nn] for k in range(0, len(blob), nn))
+    return least, witness, stabilizer, sorted(map(bytes, map(_column_gather(n), images)))
 
 
 def canon_min(flat: bytes, n: int) -> bytes:

@@ -1,7 +1,7 @@
 /* Compiled kernels for quandles._kernel: the column scan, the relabelling
    walk and the one-pass invariants of a permutation group.  The walk is one
    loop, the same for every keep mode; a walk that keeps images adds one
-   coset pass, which builds each kept image once.
+   coset pass, which builds each kept image once and sorts them.
 
    All three must stay observably identical to the pure-Python versions in
    quandles._kernel: same output bytes, same order, same placement counts,
@@ -244,21 +244,21 @@ PyDoc_STRVAR(orbit_doc,
 "differs from the table.  `keep` selects the images returned: 0 none, 1 those\n"
 "sharing the table's column 0, 2 all.  Under 1 and 2 one more pass builds the\n"
 "kept image of each relabelling least in its coset of the stabilizer, so each\n"
-"image once, and raises RuntimeError on an image built twice.  Bytes are made\n"
-"only for stabilizer elements, kept images, the least image and its witness.");
+"once, as sorted column tuples R_0..R_{n-1}; one built twice is a RuntimeError.\n"
+"Bytes are made only for stabilizer elements, kept images, least and witness.");
 
-/* Add to `images` the image of each relabelling p that is least in its coset
-   p∘Aut and, under `column0`, keeps the table's column 0.  The pairs
-   (first[k], second[k]) are the distinct (i, a(i)) of the automorphisms
-   a != id, i the least point that a moves, the keys of group_invariants'
-   strong generating set.  p∘a first differs from p at i, so p is least
-   exactly when p(i) < p(a(i)) for every pair.  A coset has one image, so
-   each image is built once; one built twice means the pairs let through too
-   much, and is a RuntimeError.  Under `column0` the pass walks s = p^-1 and
-   tests column 0, s R_0 s^-1 = R_{s(0)}, before it makes p; a test that
-   fails on s[0..m] skips every s sharing them.  Returns 0, or -1 with an
-   exception set.  Not inlined: inlined into orbit, it slowed the walk that
-   keeps no image by 2-3% (gcc -O3, x86-64). */
+/* Append to `images` the column tuple of the image of each relabelling p
+   least in its coset p∘Aut that, under `column0`, keeps the table's column
+   0, and sort them.  The pairs (first[k], second[k]) are the distinct
+   (i, a(i)) of the automorphisms a != id, i the least point that a moves,
+   the keys of group_invariants' strong generating set.  p∘a first differs
+   from p at i, so p is least exactly when p(i) < p(a(i)) for every pair.  A
+   coset has one image, so each is built once; equal neighbours mean the
+   pairs let through too much, a RuntimeError.  Under `column0` the pass
+   walks s = p^-1 and tests column 0, s R_0 s^-1 = R_{s(0)}, before it makes
+   p; a test that fails on s[0..m] skips every s sharing them.  Returns 0, or
+   -1 with an exception set.  Not inlined: inlined into orbit, it slowed the
+   walk that keeps no image by 2-3% (gcc -O3, x86-64). */
 Py_NO_INLINE static int
 coset_images(PyObject *images, const int *first, const int *second, int pairs,
              const unsigned char *table, int n, int column0)
@@ -291,25 +291,25 @@ coset_images(PyObject *images, const int *first, const int *second, int pairs,
             k++;
         if (k < pairs)
             continue;
-        /* out[p i][p j] = p(table[i][j]) + 1 */
+        /* column tuple: out[p i][p j] = p(table[i][j]) + 1 at byte p(j) n + p(i) */
         for (int i = 0; i < n; i++)
             for (int j = 0; j < n; j++)
-                cur[p[i] * n + p[j]] = (unsigned char)(p[table[i * n + j]] + 1);
+                cur[p[j] * n + p[i]] = (unsigned char)(p[table[i * n + j]] + 1);
         PyObject *image = PyBytes_FromStringAndSize((const char *)cur, n * n);
-        if (image == NULL)
+        const int err = image == NULL || PyList_Append(images, image) < 0;
+        Py_XDECREF(image);
+        if (err)
             return -1;
-        const Py_ssize_t before = PySet_GET_SIZE(images);
-        const int err = PySet_Add(images, image);
-        Py_DECREF(image);
-        if (err < 0)
-            return -1;
-        if (PySet_GET_SIZE(images) == before) {
+    } while (next_permutation(w, n));
+    int err = PyList_Sort(images);
+    for (Py_ssize_t k = 1; err == 0 && k < PyList_GET_SIZE(images); k++)
+        if (!memcmp(PyBytes_AS_STRING(PyList_GET_ITEM(images, k - 1)),
+                    PyBytes_AS_STRING(PyList_GET_ITEM(images, k)), n * n)) {
             PyErr_SetString(PyExc_RuntimeError,
                             "orbit built an image twice: two relabellings of one coset of Aut passed as least");
-            return -1;
+            err = -1;
         }
-    } while (next_permutation(w, n));
-    return 0;
+    return err;
 }
 
 static PyObject *
@@ -349,7 +349,7 @@ orbit(PyObject *self, PyObject *args)
         goto fail;
     }
     stabilizer = PyList_New(0);
-    images = PySet_New(NULL);
+    images = PyList_New(0);
     if (stabilizer == NULL || images == NULL)
         goto fail;
     memcpy(least, src, nn);

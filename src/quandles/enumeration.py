@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import operator
 import time
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
 
 from . import _kernel
@@ -76,23 +78,27 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     The normal-form tables come from one scan whose budget `cap` covers
     their orbit walks.  `keep` is KEEP_COLUMN0, whose images are the class's
     normal forms, or KEEP_ALL.  Checks the scan with the walk's own images
-    as it goes: those sharing `flat`'s column 0 are the class's normal
-    forms, and each must be a scanned table not yet claimed; the walk then
-    claims them.  A kept orbit must number n! / |Aut|.  A scanned table
-    outside the normal forms of its class, or one that the class's walk
-    lost from its normal forms, shows as a class walked twice.
+    as it goes: those sharing `flat`'s column 0, one run of the sorted
+    column tuples, are the class's normal forms, and each must be a scanned
+    table not yet claimed; the walk then claims them.  A kept orbit must
+    number n! / |Aut|.  A scanned table outside the normal forms of its
+    class, or one that the class's walk lost from its normal forms, shows as
+    a class walked twice.
     """
     if operator.index(cap) < 1:  # 0.5 is a TypeError, like every non-integral cap
         raise ValueError("cap must be positive")
     flats, placements, hit = _kernel.scan(n, cap=cap)
     if hit:
         raise ResourceLimitError(n, placements, cap, len(flats) * factorial(n))
-    unclaimed = set(flats)
+    nn = n * n
+    by_column = _kernel.transpose(b"".join(flats), n)
+    columns = [by_column[k : k + nn] for k in range(0, len(by_column), nn)]
+    unclaimed = set(columns)  # column tuples, as the walk gives its images
     if len(unclaimed) != len(flats):
         raise RuntimeError(f"the order-{n} scan emitted a table twice")
     walked = set()
-    for flat in flats:
-        if flat not in unclaimed:
+    for flat, column in zip(flats, columns):
+        if column not in unclaimed:
             continue
         walk = _kernel.orbit(flat, n, keep)
         least, _, stabilizer, images = walk
@@ -108,50 +114,40 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
                 f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: "
                 f"{len(images)} images, |Aut| = {len(stabilizer)}"
             )
-        normal = {image for image in images if image[::n] == flat[::n]}
-        if not normal <= unclaimed:
+        # the run of images whose column 0 is flat's; every entry is below 0xff
+        head = column[:n]
+        start = bisect_left(images, head)
+        normal = images[start : bisect_left(images, head + b"\xff", start)]
+        if not unclaimed.issuperset(normal):
+            missing = min(_kernel.transpose(image, n) for image in normal if image not in unclaimed)
             raise RuntimeError(
                 f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: its normal form "
-                f"{QuandleMatrix.from_flat(min(normal - unclaimed), n)!r} is missing from the scan"
+                f"{QuandleMatrix.from_flat(missing, n)!r} is missing from the scan"
             )
-        unclaimed -= normal
+        unclaimed.difference_update(normal)
         yield walk
-
-
-def _transpose(blob: bytes, n: int) -> bytes:
-    """The concatenation of n x n tables `blob` with each table transposed."""
-    nn = n * n
-    out = bytearray(len(blob))
-    for i in range(n):
-        for j in range(n):
-            out[i * n + j :: nn] = blob[j * n + i :: nn]
-    return bytes(out)
 
 
 def _table_blob(n: int, cap: int) -> bytes:
     """The all_tables(n, cap=cap) tables concatenated in their order, for callers that
-    need no list of them.  Raises as all_tables does."""
-    nn = n * n
+    need no list of them.  Raises as all_tables does.  Each walk's images are a
+    sorted run of column tuples, so the sort merges runs."""
     orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)
-    by_column = _transpose(b"".join(b"".join(images) for *_, images in orbits), n)
-    ordered = sorted(by_column[k : k + nn] for k in range(0, len(by_column), nn))
-    del by_column  # each copy goes once the next is made, so the sort is the peak
-    joined = b"".join(ordered)
-    del ordered
-    return _transpose(joined, n)
+    return _kernel.transpose(b"".join(sorted(chain.from_iterable(images for *_, images in orbits))), n)
 
 
 def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
     """Every standard-form quandle table of order n, as row-major 1-based bytes.
 
-    The union of the class orbits, sorted by column-major bytes: the
-    lexicographic order of the column tuples.  Raises ResourceLimitError
-    before any orbit walk when the budget `cap` does not cover the scan and
-    n! relabellings per scanned table; under the default cap that happens
-    first at n = 9.  The compiled walk visits up to 2 * n! relabellings per
-    walked class, one pass for Aut and one coset pass for the images, under
-    that same charge of n! per kept table.  A cap below 1 is a ValueError, a
-    non-integral one a TypeError.
+    The union of the class orbits in the lexicographic order of their
+    column tuples, the order in which each walk returns its class's images;
+    one sort merges those runs.  Raises ResourceLimitError before any orbit
+    walk when the budget `cap` does not cover the scan and n! relabellings
+    per scanned table; under the default cap that happens first at n = 9.
+    The compiled walk visits up to 2 * n! relabellings per walked class, one
+    pass for Aut and one coset pass for the images, under that same charge
+    of n! per kept table.  A cap below 1 is a ValueError, a non-integral one
+    a TypeError.
     """
     nn = n * n
     rows = _table_blob(n, cap)

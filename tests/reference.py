@@ -74,7 +74,8 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
 
     For each rho in lexicographic order: translate the entries through rho,
     invert rho with an n-step loop and move every entry to its new place.
-    Returns (least, witness, stabilizer, images) as the kernel does.
+    Returns (least, witness, stabilizer, images) as the kernel does, the
+    images collected as a set and given as sorted column tuples.
     """
     least, witness = flat, bytes(range(1, n + 1))
     stabilizer: list[bytes] = []
@@ -97,7 +98,69 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
             stabilizer.append(word)
         if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
             images.add(cand)
-    return least, witness, stabilizer, images
+    return least, witness, stabilizer, sorted(columns(image, n) for image in images)
+
+
+def columns(flat: bytes, n: int) -> bytes:
+    """The column tuple of a row-major n x n table: its columns R_0 … R_{n-1} concatenated.
+
+    It is the transpose, so it also turns a column tuple back into the table.
+    """
+    return bytes(flat[i * n + j] for j in range(n) for i in range(n))
+
+
+def unrestricted_scan(n: int) -> list[bytes]:
+    """Every quandle table of order n, row-major 1-based bytes, in column-tuple order.
+
+    The column scan with no normal form: the least unset position draws
+    from every column fixing it, in lexicographic order, and each placement
+    forces R_{R_k(j)} = R_k R_j R_k^-1 for every pair of set positions, in
+    both orders, until nothing new is set, rejecting a contradiction.  It
+    shares neither the relabelling walk nor the normal form with all_tables.
+    """
+    rng = range(n)
+    candidates = [[col for col in itertools.permutations(rng) if col[i] == i] for i in rng]
+    cols: list[tuple[int, ...] | None] = [None] * n
+    trail: list[int] = []  # positions in the order they were set
+    out: list[bytes] = []
+
+    def force(k, j):  # R_{R_k(j)} = R_k R_j R_k^-1; False when it contradicts a set column
+        forced = [0] * n
+        for y in rng:
+            forced[cols[k][y]] = cols[k][cols[j][y]]
+        t = cols[k][j]
+        if cols[t] is None:
+            cols[t] = tuple(forced)
+            trail.append(t)
+            return True
+        return cols[t] == tuple(forced)
+
+    def propagate(start):
+        # a position's pairs with those set after it are met when those are dequeued
+        q = start
+        while q < len(trail):
+            a = trail[q]
+            if not all(force(a, b) and force(b, a) for b in trail[: q + 1]):
+                return False
+            q += 1
+        return True
+
+    def walk():
+        d = cols.index(None)
+        mark = len(trail)
+        for col in candidates[d]:
+            cols[d] = col
+            trail.append(d)
+            if propagate(mark):
+                if len(trail) < n:
+                    walk()
+                else:
+                    out.append(bytes(cols[j][i] + 1 for i in rng for j in rng))
+            while len(trail) > mark:
+                cols[trail.pop()] = None
+
+    walk()
+    return out
 
 
 def normal_forms_in_class(flat: bytes, n: int, aut_order: int) -> int:

@@ -97,7 +97,7 @@ def test_normal_forms_in_class_counts_the_scanned_tables_of_each_class(fastest_k
         classes = enumerate_classes(n).classes
         for rec in classes:
             _, _, stabilizer, images = _kernel.orbit(rec.representative.flat(), n, _kernel.KEEP_ALL)
-            members = flats.intersection(images)
+            members = flats.intersection(reference.columns(image, n) for image in images)
             assert members
             for flat in members:
                 assert reference.normal_forms_in_class(flat, n, len(stabilizer)) == len(members)
@@ -200,9 +200,30 @@ def test_all_tables_stream_pinned_on_pure_python(n, count, digest, monkeypatch, 
     assert hashlib.md5(stream).hexdigest() == digest
 
 
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_all_tables_match_the_unrestricted_scan(backend, request, monkeypatch):
+    # a second route to every table, sharing neither the walk nor the normal
+    # form: the same tables in the same order, as many as the classes' np add up to
+    if backend == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    for n in range(1, 6):
+        expected = reference.unrestricted_scan(n)
+        assert all_tables(n) == expected
+        assert len(expected) == sum(rec.np for rec in enumerate_classes(n).classes)
+
+
+def test_order6_tables_match_the_unrestricted_scan(fastest_kernel, report_for):
+    expected = reference.unrestricted_scan(6)
+    assert all_tables(6) == expected
+    assert len(expected) == sum(rec.np for rec in report_for(6).classes) == 6658
+
+
 def test_table_blob_drops_each_copy_once_the_next_is_made(compiled):
-    # the peak is the sort's per-table slices next to one column-major copy
-    # (5.4x the blob); holding every copy until the end peaks at 6.4x
+    # the peak, 5.4x the blob, is the join of the sorted images: the images
+    # (2.2x), the join's buffer view of each (2.2x) and the joined blob; the
+    # transpose after it holds 3x
     tracemalloc.start()
     try:
         blob = _table_blob(6, _kernel.DEFAULT_CAP)
@@ -268,7 +289,8 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
     kept_in_class = Counter()
     class_of = {}
     for k, rec in enumerate(enumerate_classes(5).classes):
-        for image in sorted(_kernel.orbit(rec.representative.flat(), 5, _kernel.KEEP_ALL)[3]):
+        images = _kernel.orbit(rec.representative.flat(), 5, _kernel.KEEP_ALL)[3]
+        for image in sorted(reference.columns(image, 5) for image in images):
             class_of[image] = k
     kept_in_class.update(class_of[flat] for flat in flats)
     # a class with one normal form leaves no trace when it is dropped; every other
@@ -305,7 +327,12 @@ def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
 
     monkeypatch.setattr(_kernel, "orbit", recorded)
     report = enumerate_classes(5)
-    drops = [(table, lost) for table in walked for lost in orbit(table, 5, _kernel.KEEP_COLUMN0)[3] if lost != table]
+    drops = [
+        (table, lost)  # lost is a column tuple, as the walk gives its images
+        for table in walked
+        for lost in orbit(table, 5, _kernel.KEEP_COLUMN0)[3]
+        if lost != reference.columns(table, 5)
+    ]
     assert (len(walked), len(drops)) == (22, 11)
 
     def faulty(change):
@@ -316,11 +343,12 @@ def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
         monkeypatch.setattr(_kernel, "orbit", walk)
 
     for table, lost in drops:
-        faulty(lambda flat, images: images - {lost} if flat == table else images)
+        faulty(lambda flat, images: [image for image in images if image != lost] if flat == table else images)
         # the lost normal form is walked again, and the message names both causes
         least = QuandleMatrix.from_flat(orbit(table, 5, _kernel.KEEP_NONE)[0], 5)
         message = (
-            f"class of {least!r} walked twice, the second time from {QuandleMatrix.from_flat(lost, 5)!r}: "
+            f"class of {least!r} walked twice, the second time from "
+            f"{QuandleMatrix.from_flat(reference.columns(lost, 5), 5)!r}: "
             "either the scan kept a table outside its normal forms or an earlier walk of the class "
             "lost that table from its normal forms"
         )
@@ -331,8 +359,8 @@ def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
     # an added image with another column 0 (a scanned table of another class)
     # breaks the kept orbit's count; the classification reads no such image
     for table in walked:
-        stray = next(flat for flat in flats if flat[::5] != table[::5])
-        faulty(lambda flat, images: images | {stray} if flat == table else images)
+        stray = reference.columns(next(flat for flat in flats if flat[::5] != table[::5]), 5)
+        faulty(lambda flat, images: sorted(images + [stray]) if flat == table else images)
         with pytest.raises(RuntimeError, match="orbit-stabilizer mismatch"):
             all_tables(5)
         assert enumerate_classes(5).classes == report.classes

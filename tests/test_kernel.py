@@ -10,7 +10,7 @@ import tracemalloc
 import types
 
 import pytest
-from reference import orbit_by_relabelling
+from reference import columns, orbit_by_relabelling
 
 from quandles import (
     Permutation,
@@ -160,21 +160,27 @@ def test_backends_agree_past_the_c_counter_range(compiled):
     assert _kernel.scan(3, cap=-(10**20)) == _pure_scan(3, cap=-(10**20))
 
 
+def _ascending(images):
+    return all(a < b for a, b in zip(images, images[1:]))
+
+
 def _same_orbit(compiled, flat, n):
     # both backends give the same walk in every keep mode, and each mode keeps
-    # its share of the whole orbit
+    # its share of the whole orbit, as strictly ascending column tuples
     walks = {}
     for keep in (_kernel.KEEP_NONE, _kernel.KEEP_COLUMN0, _kernel.KEEP_ALL):
         walks[keep] = compiled.orbit(flat, n, keep)
         assert walks[keep] == _kernel._orbit_pure(flat, n, keep)
+        assert _ascending(walks[keep][3])
     least, witness, stabilizer, orbit = walks[_kernel.KEEP_ALL]
     assert len(orbit) * len(stabilizer) == math.factorial(n)
-    assert least == min(orbit) and flat in orbit
+    tables = [columns(image, n) for image in orbit]  # the transpose turns a column tuple back
+    assert least == min(tables) and flat in tables
     assert stabilizer == sorted(stabilizer)
     table = QuandleMatrix.from_flat(flat, n)
     assert permute(table, Permutation(tuple(witness))).flat() == least
-    assert walks[_kernel.KEEP_NONE] == (least, witness, stabilizer, set())
-    same_column0 = {image for image in orbit if image[::n] == flat[::n]}
+    assert walks[_kernel.KEEP_NONE] == (least, witness, stabilizer, [])
+    same_column0 = [image for image in orbit if image[:n] == flat[::n]]
     assert walks[_kernel.KEEP_COLUMN0] == (least, witness, stabilizer, same_column0)
 
 
@@ -196,7 +202,8 @@ def test_orbit_backends_agree_on_order6_classes(compiled, monkeypatch):
         _same_orbit(compiled, flat, 6)
     normal = [compiled.orbit(flat, 6, _kernel.KEEP_COLUMN0)[3] for flat in walked]
     assert sum(len(images) > 1 for images in normal) == 40
-    assert sorted(image for images in normal for image in images) == sorted(_kernel.scan(6)[0])
+    scanned = sorted(columns(flat, 6) for flat in _kernel.scan(6)[0])
+    assert sorted(image for images in normal for image in images) == scanned
 
 
 @pytest.mark.parametrize(
@@ -220,7 +227,7 @@ def test_orbit_images_and_stabilizer(fastest_kernel):
     # the transposition quandle of order 3: Aut = S3, a single table in its class
     flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
     least, witness, stabilizer, images = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
-    assert (least, witness, images) == (flat, b"\x01\x02\x03", {flat})
+    assert (least, witness, images) == (flat, b"\x01\x02\x03", [columns(flat, 3)])
     assert stabilizer == sorted(stabilizer) and len(stabilizer) == 6
     # an order-3 class of size 3, walked from a member that is not its least:
     # (1 2 3) and (1 3) reach the least image, and 231 < 321 comes first
@@ -229,10 +236,12 @@ def test_orbit_images_and_stabilizer(fastest_kernel):
     same_column0 = bytes([1, 3, 1, 2, 2, 2, 3, 1, 3])
     walk = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
     stabilizer = [b"\x01\x02\x03", b"\x02\x01\x03"]
-    assert walk == (least, b"\x02\x03\x01", stabilizer, {flat, least, same_column0})
+    images = sorted(columns(image, 3) for image in (flat, least, same_column0))
+    assert walk == (least, b"\x02\x03\x01", stabilizer, images)
     # no image is kept by default; KEEP_COLUMN0 keeps those whose column 0 is (1, 2, 3)
-    assert _kernel.orbit(flat, 3) == walk[:3] + (set(),)
-    assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:3] + ({flat, same_column0},)
+    assert _kernel.orbit(flat, 3) == walk[:3] + ([],)
+    images = sorted(columns(image, 3) for image in (flat, same_column0))
+    assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:3] + (images,)
     assert _kernel.canon_min(flat, 3) == least
 
 
@@ -360,9 +369,9 @@ def test_remembered_walk_hands_out_copies(walks):
     aut = automorphism_group(table)
     least, witness, stabilizer, images = _kernel.orbit(flat, 3)
     stabilizer.clear()
-    images.add(flat)
+    images.append(flat)
     assert automorphism_group(table) == aut and aut.order == 6
-    assert _kernel.orbit(flat, 3) == (least, witness, [bytes(g.images) for g in aut.elements()], set())
+    assert _kernel.orbit(flat, 3) == (least, witness, [bytes(g.images) for g in aut.elements()], [])
     assert len(walks) == 1
     # a malformed table raises on every call: errors are not remembered
     for _ in range(2):
@@ -433,7 +442,7 @@ def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
 
 def test_orbit_rejects_unknown_keep(orbit_backend):
     flat = b"\x01\x01\x02\x02"
-    assert orbit_backend(flat, 2, _kernel.KEEP_ALL)[3] == {flat}
+    assert orbit_backend(flat, 2, _kernel.KEEP_ALL)[3] == [columns(flat, 2)]
     for keep in (_kernel.KEEP_NONE - 1, _kernel.KEEP_ALL + 1):
         with pytest.raises(ValueError):
             orbit_backend(flat, 2, keep)
