@@ -8,6 +8,13 @@ when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
 backends are required to return byte-identical results, including the
 placement counts used for resource capping.
 
+Two more compiled kernels take in a single table: `parse` reads the plain
+text format and `verify` checks the three table conditions.  Their pure
+mirrors are quandles.matrix's parse_matrix and QuandleMatrix.verify, which
+call them through this module's _speedups, so a test that swaps the
+backend here swaps them too.  The compiled parse declines, with None, all
+text but the plain format, and the pure parser then reads it.
+
 The compiled walk is one loop for every keep mode: it abandons an image
 once it is greater than the least so far and is not the table itself.
 When images are kept, one coset pass then builds the kept image of each

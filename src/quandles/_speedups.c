@@ -1,14 +1,18 @@
 /* Compiled kernels for quandles._kernel: the column scan, the relabelling
-   walk and the one-pass invariants of a permutation group.  The walk is one
-   loop, the same for every keep mode; a walk that keeps images adds one
-   coset pass, which builds each kept image once and sorts them.
+   walk, the one-pass invariants of a permutation group, and the table
+   intake, which parses the plain text format and checks the three table
+   conditions.  The walk is one loop, the same for every keep mode; a walk
+   that keeps images adds one coset pass, which builds each kept image once
+   and sorts them.
 
-   All three must stay observably identical to the pure-Python versions in
-   quandles._kernel: same output bytes, same order, same placement counts,
-   and the same ValueError on malformed input.  Orders are capped at 10 and
-   group degrees at 255, so fixed-size buffers suffice; every index that
-   reaches a buffer is checked against the order or degree before the loops
-   start.
+   All five must stay observably identical to the pure-Python versions
+   (quandles._kernel, and quandles.matrix for the intake): same output
+   bytes, same order, same placement counts and witnesses, and the same
+   ValueError on malformed input; the parse instead declines, with None,
+   every text it does not take.  Orders are capped at 10, and group degrees
+   and checked or parsed tables at 255, so fixed-size buffers suffice; every
+   index that reaches a buffer is checked against the order or degree
+   before the loops start.
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -534,18 +538,130 @@ done:
     return result;
 }
 
+PyDoc_STRVAR(verify_doc,
+"verify(flat, n) -> None or (condition, witness)\n\n"
+"Mirror of QuandleMatrix.verify on row-major 1-based bytes, 1 <= n <= 255: None,\n"
+"or the first failure as VerificationReport.failures[0] gives it.");
+
+static PyObject *
+verify(PyObject *self, PyObject *args)
+{
+    Py_buffer view;
+    int n, row_of[255], seen[255];
+    if (!PyArg_ParseTuple(args, "y*i", &view, &n))
+        return NULL;
+    const unsigned char *t = (const unsigned char *)view.buf;
+    unsigned char *s = NULL; /* the standardized table, 0-based */
+    PyObject *result = NULL;
+    if (n < 1 || n > 255 || view.len != n * n) {
+        PyErr_SetString(PyExc_ValueError, "need n * n entries, 1 <= n <= 255");
+        goto done;
+    }
+    for (int k = 0; k < n * n; k++)
+        if (t[k] < 1 || t[k] > n) {
+            PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", t[k], n);
+            goto done;
+        }
+    for (int i = 0; i < n; i++)
+        for (int j = i + 1; j < n; j++)
+            if (t[i * n + i] == t[j * n + j]) {
+                result = Py_BuildValue("(s(ii))", "diagonal", i + 1, j + 1);
+                goto done;
+            }
+    for (int i = 0; i < n; i++)
+        row_of[t[i * n + i] - 1] = i; /* row and column a of s are t's row_of[a] */
+    if ((s = PyMem_Malloc(n * n)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int j = 0; j < n; j++) {
+        memset(seen, 0, sizeof seen); /* 1 + the row of column j holding each value */
+        for (int i = 0; i < n; i++) {
+            const int v = s[i * n + j] = t[row_of[i] * n + row_of[j]] - 1;
+            if (seen[v]) {
+                result = Py_BuildValue("(s(iii))", "column", seen[v], i + 1, j + 1);
+                goto done;
+            }
+            seen[v] = i + 1;
+        }
+    }
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            for (int k = 0; k < n; k++)
+                if (s[s[i * n + j] * n + k] != s[s[i * n + k] * n + s[j * n + k]]) {
+                    result = Py_BuildValue("(s(iii))", "distributivity", i + 1, j + 1, k + 1);
+                    goto done;
+                }
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(s);
+    PyBuffer_Release(&view);
+    return result;
+}
+
+PyDoc_STRVAR(parse_doc,
+"parse(text) -> bytes or None\n\n"
+"The row-major entries of ASCII text of n <= 255 lines of n entries in 1..n,\n"
+"digits 0-9 split by spaces or tabs, lines ended by \\n or \\r\\n, blank lines\n"
+"allowed; None for all other text, which the pure parser reads.");
+
+static PyObject *
+parse(PyObject *self, PyObject *text)
+{
+    if (!PyUnicode_Check(text) || !PyUnicode_IS_ASCII(text))
+        Py_RETURN_NONE;
+    const char *p = (const char *)PyUnicode_DATA(text), *r = p; /* NUL-terminated */
+    if (strspn(p, "0123456789 \t\r\n") != (size_t)PyUnicode_GET_LENGTH(text))
+        Py_RETURN_NONE; /* another character, or a NUL */
+    while ((r = strchr(r, '\r')) != NULL) /* so each \r ends a line with the \n after it */
+        if (*++r != '\n')
+            Py_RETURN_NONE;
+    unsigned char line[255];
+    int n = 0, rows = 0, count = 0, top = 0; /* top: the line's greatest entry */
+    PyObject *out = NULL;
+    for (;; p++) {
+        if (*p >= '0' && *p <= '9') {
+            const long v = strtol(p, (char **)&p, 10);
+            if (v < 1 || v > 255 || count == 255)
+                goto decline;
+            line[count++] = (unsigned char)v;
+            top = v > top ? v : top;
+        }
+        if (count > 0 && (*p == '\n' || *p == '\0')) {
+            if (n == 0) {
+                n = count;
+                if ((out = PyBytes_FromStringAndSize(NULL, n * n)) == NULL)
+                    return NULL;
+            }
+            if (count != n || rows == n || top > n)
+                goto decline;
+            memcpy(PyBytes_AS_STRING(out) + rows++ * n, line, n);
+            count = top = 0;
+        }
+        if (*p == '\0')
+            break;
+    }
+    if (n > 0 && rows == n)
+        return out;
+decline:
+    Py_XDECREF(out);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS, scan_doc},
     {"orbit", orbit, METH_VARARGS, orbit_doc},
     {"group_invariants", group_invariants, METH_VARARGS, group_invariants_doc},
+    {"verify", verify, METH_VARARGS, verify_doc},
+    {"parse", parse, METH_O, parse_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "quandles._speedups",
-    .m_doc = "Compiled kernels for quandles._kernel: the column scan, the relabelling walk\n"
-             "and the one-pass invariants of a permutation group.",
+    .m_doc = "Compiled kernels for quandles._kernel: the column scan, the relabelling walk,\n"
+             "the one-pass invariants of a permutation group, and the table parse and check.",
     .m_size = -1,
     .m_methods = methods,
 };

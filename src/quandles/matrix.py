@@ -20,10 +20,12 @@ two compositions of columns per pair, and `verify` checks it that way.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from collections.abc import Iterable
 
+from . import _kernel
 from .permutation import PermGroup, Permutation, closure, orbit_partition
 
 
@@ -110,7 +112,7 @@ class QuandleMatrix:
             stray = flat.translate(None, bytes(range(1, min(n, 255) + 1)))
             if stray:
                 raise ValueError(f"entry {stray[0]!r} outside 1..{n}")
-            return cls._unchecked(tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+            return cls._unchecked(_rows(flat, n))
         flat = list(flat)
         if len(flat) != n * n:
             raise ValueError(f"flat table has {len(flat)} entries, an order-{n} table has {n * n}")
@@ -168,15 +170,22 @@ class QuandleMatrix:
     def verify(self) -> VerificationReport:
         """Check the three table conditions, reporting the first failure.
 
-        (i) and (ii) compare set sizes, and only a failed check looks for
-        its witness.  (iii) is checked in column form on the standardized
-        table: R_k∘R_j = R_{R_k(j)}∘R_k for every pair (j, k), where R_j is
-        column j as the permutation i -> i▷j.  Entry i of the two sides is
-        t[t[i][j]][k] and t[t[i][k]][t[j][k]], so the first failing triple
-        (i, j, k) is the least over the failing pairs, with i the first
-        point at which the pair's two compositions differ.
+        Up to order 255 the compiled kernel, when present, makes the whole
+        check on the table's bytes (`_speedups.verify`): the same conditions
+        in the same order, the same witnesses.  The pure check below is its
+        mirror.  (i) and (ii) compare set sizes, and only a failed check
+        looks for its witness.  (iii) is checked in column form on the
+        standardized table: R_k∘R_j = R_{R_k(j)}∘R_k for every pair (j, k),
+        where R_j is column j as the permutation i -> i▷j.  Entry i of the
+        two sides is t[t[i][j]][k] and t[t[i][k]][t[j][k]], so the first
+        failing triple (i, j, k) is the least over the failing pairs, with i
+        the first point at which the pair's two compositions differ.
         """
         n = self.n
+        speedups = _kernel._speedups
+        if speedups is not None and n <= _kernel.MAX_DEGREE:
+            failure = speedups.verify(self.flat(), n)
+            return VerificationReport(failure is None, () if failure is None else (failure,))
         diag = self.diagonal()
         if len(set(diag)) < n:
             # the first point with a repeated value has all its repeats after it
@@ -243,6 +252,11 @@ class QuandleMatrix:
         return self.to_text()
 
 
+def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a row-major n x n table of bytes, as tuples of ints."""
+    return tuple(zip(*[iter(flat)] * n))  # n times one iterator: zip takes n entries per row
+
+
 def _first_nondistributive(columns: list[tuple[int, ...]]) -> tuple[int, int, int] | None:
     """The least 1-based (i, j, k) with R_k(R_j(i)) != R_{R_k(j)}(R_k(i)), or None.
 
@@ -291,9 +305,18 @@ def parse_matrix(text: str) -> QuandleMatrix:
     Lines starting with '#' and blank lines are ignored; the first data line
     fixes n.  The table is returned unvalidated (shape and entry range are
     still enforced).  Raises QuandleParseError with the physical line number.
-    Each line is converted and range-checked whole; only a line that fails
-    is searched for its offending token.
+    The compiled kernel, when present, reads the plain format that to_text()
+    writes: ASCII, entries of the digits 0-9 separated by spaces or tabs,
+    lines ended by \\n or \\r\\n, blank lines allowed, n lines of n entries in
+    1..n with n <= 255.  It declines all other text, so comments, other
+    whitespace and every malformed table come to the pure parser below, the
+    one source of every error.  That parser converts and range-checks each
+    line whole; only a line that fails is searched for its offending token.
     """
+    speedups = _kernel._speedups
+    flat = None if speedups is None else speedups.parse(text)
+    if flat is not None:
+        return QuandleMatrix._unchecked(_rows(flat, math.isqrt(len(flat))))
     rows: list[tuple[int, ...]] = []
     n: int | None = None
     lines = text.splitlines()

@@ -9,7 +9,6 @@ image of the other under some ρ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from . import _kernel
@@ -138,54 +137,34 @@ def _fingerprint(g: PermGroup) -> tuple:
     return (g.order, g.element_order_histogram(), center == g.order, center)
 
 
-def _named_groups() -> list[tuple[str, PermGroup]]:
-    """The groups that labels name, each generated from a few permutations."""
-
-    def cyc(*entries) -> Permutation:
-        n = max(x for c in entries for x in c)
-        return Permutation.from_cycles(n, entries)
-
-    def pad(p: Permutation, n: int) -> Permutation:
-        return Permutation(tuple(p.images) + tuple(range(p.degree + 1, n + 1)))
-
-    named: list[tuple[str, list[Permutation]]] = [
-        ("Z1", [Permutation.identity(1)]),
-        ("Z2", [cyc((1, 2))]),
-        ("Z3", [cyc((1, 2, 3))]),
-        ("Z4", [cyc((1, 2, 3, 4))]),
-        ("Z2xZ2", [pad(cyc((1, 2)), 4), cyc((3, 4))]),
-        ("Z5", [cyc((1, 2, 3, 4, 5))]),
-        # Z6 and Z3+Z2 are the same group; the classification tables for
-        # small quandles write the direct-sum form, so that label wins.
-        ("Z3xZ2", [cyc((1, 2, 3, 4, 5, 6))]),
-        ("S3", [pad(cyc((1, 2)), 3), cyc((1, 2, 3))]),
-        ("D8", [cyc((1, 2, 3, 4)), pad(cyc((1, 3)), 4)]),
-        ("A4", [pad(cyc((1, 2, 3)), 4), cyc((2, 3, 4))]),
-        ("S3xZ2", [pad(cyc((1, 2)), 5), pad(cyc((1, 2, 3)), 5), cyc((4, 5))]),
-        # affine maps x -> u*x + v of Z/5, the order-20 subgroup of S5; the
-        # customary label for it in small-quandle tables is D20
-        ("D20", [cyc((1, 2, 3, 4, 5)), cyc((2, 3, 5, 4))]),
-        ("S4", [pad(cyc((1, 2)), 4), cyc((1, 2, 3, 4))]),
-        ("S5", [pad(cyc((1, 2)), 5), cyc((1, 2, 3, 4, 5))]),
-    ]
-    return [(label, PermGroup.generate(gens)) for label, gens in named]
-
-
-@lru_cache(maxsize=1)
-def _label_table() -> dict[tuple, str]:
-    table: dict[tuple, str] = {}
-    for label, group in _named_groups():
-        fp = _fingerprint(group)
-        if fp in table:
-            raise RuntimeError(f"fingerprint collision: {label} vs {table[fp]}")
-        table[fp] = label
-    return table
+# fingerprint -> label for the groups that labels name; tests/reference.py
+# generates each group from a few permutations, and a test checks that they
+# give exactly these fingerprints, no two alike.  Z6 and Z3+Z2 are the same
+# group; small-quandle classification tables write the direct-sum form, so
+# that label wins.  D20 is the affine group x -> u*x + v of Z/5, the order-20
+# subgroup of S5, under its customary label in small-quandle tables.
+_LABELS: dict[tuple, str] = {
+    (1, ((1, 1),), True, 1): "Z1",
+    (2, ((1, 1), (2, 1)), True, 2): "Z2",
+    (3, ((1, 1), (3, 2)), True, 3): "Z3",
+    (4, ((1, 1), (2, 1), (4, 2)), True, 4): "Z4",
+    (4, ((1, 1), (2, 3)), True, 4): "Z2xZ2",
+    (5, ((1, 1), (5, 4)), True, 5): "Z5",
+    (6, ((1, 1), (2, 1), (3, 2), (6, 2)), True, 6): "Z3xZ2",
+    (6, ((1, 1), (2, 3), (3, 2)), False, 1): "S3",
+    (8, ((1, 1), (2, 5), (4, 2)), False, 2): "D8",
+    (12, ((1, 1), (2, 3), (3, 8)), False, 1): "A4",
+    (12, ((1, 1), (2, 7), (3, 2), (6, 2)), False, 2): "S3xZ2",
+    (20, ((1, 1), (2, 5), (4, 10), (5, 4)), False, 1): "D20",
+    (24, ((1, 1), (2, 9), (3, 8), (4, 6)), False, 1): "S4",
+    (120, ((1, 1), (2, 25), (3, 20), (4, 30), (5, 24), (6, 20)), False, 1): "S5",
+}
 
 
 def identify_group(g: PermGroup) -> GroupId:
     """Match g's fingerprint against the built-in table of small-group labels."""
     fp = _fingerprint(g)
-    label = _label_table().get(fp, "unidentified")
+    label = _LABELS.get(fp, "unidentified")
     return GroupId(label, fp[0], fp[1], fp[2], fp[3])
 
 

@@ -4,7 +4,7 @@ import itertools
 from collections import Counter
 from math import factorial, gcd
 
-from quandles import Permutation, QuandleMatrix, QuandleParseError, VerificationReport, permute
+from quandles import PermGroup, Permutation, QuandleMatrix, QuandleParseError, VerificationReport, permute
 from quandles._kernel import KEEP_ALL, KEEP_COLUMN0
 from quandles.permutation import all_permutations
 
@@ -269,3 +269,32 @@ def parse_by_tokens(text: str) -> QuandleMatrix:
     if len(rows) != n:
         raise QuandleParseError(f"expected {n} data rows, got {len(rows)}", len(text.splitlines()) or 1)
     return QuandleMatrix(rows)
+
+
+def named_groups() -> list[tuple[str, PermGroup]]:
+    """The groups that symmetry's labels name, each generated from a few permutations."""
+
+    def cyc(*entries) -> Permutation:
+        n = max(x for c in entries for x in c)
+        return Permutation.from_cycles(n, entries)
+
+    def pad(p: Permutation, n: int) -> Permutation:
+        return Permutation(tuple(p.images) + tuple(range(p.degree + 1, n + 1)))
+
+    named: list[tuple[str, list[Permutation]]] = [
+        ("Z1", [Permutation.identity(1)]),
+        ("Z2", [cyc((1, 2))]),
+        ("Z3", [cyc((1, 2, 3))]),
+        ("Z4", [cyc((1, 2, 3, 4))]),
+        ("Z2xZ2", [pad(cyc((1, 2)), 4), cyc((3, 4))]),
+        ("Z5", [cyc((1, 2, 3, 4, 5))]),
+        ("Z3xZ2", [cyc((1, 2, 3, 4, 5, 6))]),
+        ("S3", [pad(cyc((1, 2)), 3), cyc((1, 2, 3))]),
+        ("D8", [cyc((1, 2, 3, 4)), pad(cyc((1, 3)), 4)]),
+        ("A4", [pad(cyc((1, 2, 3)), 4), cyc((2, 3, 4))]),
+        ("S3xZ2", [pad(cyc((1, 2)), 5), pad(cyc((1, 2, 3)), 5), cyc((4, 5))]),
+        ("D20", [cyc((1, 2, 3, 4, 5)), cyc((2, 3, 5, 4))]),  # x -> u*x + v on Z/5
+        ("S4", [pad(cyc((1, 2)), 4), cyc((1, 2, 3, 4))]),
+        ("S5", [pad(cyc((1, 2)), 5), cyc((1, 2, 3, 4, 5))]),
+    ]
+    return [(label, PermGroup.generate(gens)) for label, gens in named]

@@ -304,8 +304,10 @@ def walks(request, monkeypatch):
             made.append(keep)
             return compiled.orbit(flat, n, keep)
 
-        counted = types.ModuleType("counted")
-        counted.orbit, counted.scan, counted.group_invariants = orbit, compiled.scan, compiled.group_invariants
+        counted = types.ModuleType("counted")  # the compiled kernel, its walks counted
+        for name in ("scan", "group_invariants", "verify", "parse"):
+            setattr(counted, name, getattr(compiled, name))
+        counted.orbit = orbit
         monkeypatch.setattr(_kernel, "_speedups", counted)
     else:
         pure = _kernel._orbit_pure

@@ -17,6 +17,7 @@ from quandles import (
     permute,
     trivial,
 )
+from quandles import _kernel
 from quandles.permutation import Permutation
 
 import tables
@@ -63,31 +64,77 @@ def _parsed(parse, text):
         return (str(exc), exc.message, exc.line, exc.column)
 
 
-def test_parse_matches_the_token_by_token_parser():
-    # seeded texts with every kind of fault, often several on one line: the
-    # same table, or the same message, line and column, as token by token
+@pytest.fixture(params=["python", "c"])
+def backend(request, monkeypatch):
+    """Each backend in turn: the freshly built compiled kernel, or the pure fallback."""
+    if request.param == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    return request.param
+
+
+def _plain(text):
+    """Text of the plain format's alphabet: ASCII digits, spaces, tabs and \\n or \\r\\n line ends."""
+    return re.fullmatch(r"[0-9 \t\n]*", text.replace("\r\n", "\n")) is not None
+
+
+def test_parse_matches_the_token_by_token_parser(backend):
+    # seeded texts with every kind of fault, often several on one line, and
+    # every line break and blank that str.splitlines and str.split know: the
+    # same table, or the same message, line and column, as token by token.
+    # The compiled parse takes exactly the valid tables of the plain format.
     rng = random.Random(7)
-    tokens = ["1", "2", "3", "4", "0", "-1", "5", "x", "1.5", "+2", "07", "1_0", "٣"]
+    tokens = ["1", "2", "3", "4", "0", "-1", "5", "x", "1.5", "+2", "07", "001", "1_0", "٣"]
+    breaks = ["\n"] * 8 + ["\r\n"] * 4 + ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+    blanks = [" "] * 4 + ["\t", "  ", " \t"]
     outcomes = Counter()
-    for _ in range(3000):
+    taken = 0
+    for _ in range(4000):
         n = rng.randint(1, 4)
         lines = []
-        for _ in range(rng.randint(0, n + 2)):
-            roll = rng.random()
+        clean = rng.random() < 0.3  # a table of the right shape and range, only its blanks and breaks vary
+        for _ in range(n if clean else rng.randint(0, n + 2)):
+            roll = rng.uniform(0.1, 0.5) if clean else rng.random()
             if roll < 0.1:
-                lines.append(rng.choice(["", "   ", "# note", "  # indented note"]))
+                lines.append(rng.choice(["", "   ", "\t", "# note", "  # indented note", "\t# tabbed note"]))
             elif roll < 0.5:
-                lines.append(" ".join(str(rng.randint(1, n)) for _ in range(n)))
+                lines.append(rng.choice(blanks).join(str(rng.randint(1, n)) for _ in range(n)))
             else:
                 width = n + rng.choice([-1, 0, 0, 0, 1])
-                lines.append("\t".join(rng.choice(tokens[: n] + tokens[4:]) for _ in range(max(width, 1))))
-        text = "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+                lines.append(rng.choice(blanks).join(rng.choice(tokens[:n] + tokens[4:]) for _ in range(max(width, 1))))
+            if rng.random() < 0.2:
+                lines[-1] = rng.choice(blanks) + lines[-1] + rng.choice(blanks)
+        text = "".join(line + rng.choice(breaks) for line in lines)
+        text = text[: -1] if text.endswith("\n") and rng.random() < 0.3 else text
         got = _parsed(parse_matrix, text)
-        assert got == _parsed(parse_by_tokens, text), text
+        assert got == _parsed(parse_by_tokens, text), repr(text)
         outcomes[re.split(r"[-\d:]", got[1])[0] if isinstance(got, tuple) else "table"] += 1
+        if backend == "c":
+            flat = _kernel._speedups.parse(text)
+            assert (flat is not None) == (_plain(text) and isinstance(got, QuandleMatrix)), repr(text)
+            assert flat is None or flat == got.flat()
+            taken += flat is not None
     assert set(outcomes) == {"table", "not an integer", "expected ", "more than ", "entry ", "no data lines"}
+    assert backend == "python" or taken >= 200, taken
     table = parse_matrix(dihedral(5).to_text())
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in table.rows)
+
+
+def test_compiled_parse_takes_the_plain_format(compiled, matrices_for, report_for):
+    # what to_text() writes, also with \r\n line ends, a last line end and
+    # blank lines, goes through the compiled parse and nowhere else
+    tables = [m for n in range(1, 6) for m in matrices_for(n)]
+    tables += [rec.representative for rec in report_for(6).classes] + [dihedral(255)]
+    assert len(tables) == 1 + 1 + 5 + 36 + 404 + 73 + 1
+    for m in tables:
+        text = m.to_text()
+        for variant in (text, text + "\n", text.replace("\n", "\r\n") + "\r\n", "\n \t\n" + text + "\n\n"):
+            assert compiled.parse(variant) == m.flat()
+        assert parse_matrix(text) == m
+    for text in ("1 2\r2 1", "# c\n1", "1\n\n\n1", "1\x0b", "\u0661", "01 2\n2 1\r", "", "\n"):
+        assert compiled.parse(text) is None, repr(text)
+    assert compiled.parse(b"1") is None
 
 
 def test_constructor_rejects_bad_shapes():
@@ -266,7 +313,7 @@ def _kind(report):
     return report.failures[0][0] if report.failures else "valid"
 
 
-def test_verify_matches_the_triple_loop_on_every_small_table(matrices_for):
+def test_verify_matches_the_triple_loop_on_every_small_table(backend, matrices_for):
     # every table of order <= 3 with entries in 1..n, valid or not, and every
     # valid standard-form table of orders 4 and 5
     kinds = Counter()
@@ -297,7 +344,7 @@ def _valid_tables(matrices_for):
     return [m for n in range(1, 6) for m in matrices_for(n)] + families
 
 
-def test_verify_matches_the_triple_loop_on_seeded_corruptions(matrices_for):
+def test_verify_matches_the_triple_loop_on_seeded_corruptions(backend, matrices_for):
     # 1 or 2 entries of a valid table overwritten (the second, half the time,
     # so that the first's column stays a permutation), and half the results
     # reordered by a simultaneous row and column permutation that leaves the
@@ -330,7 +377,7 @@ def test_verify_matches_the_triple_loop_on_seeded_corruptions(matrices_for):
                for standard in (True, False) if (kind, standard) != ("diagonal", True)) >= 250, kinds
 
 
-def test_verify_at_order_101_matches_the_triple_loop():
+def test_verify_at_order_101_matches_the_triple_loop(backend):
     rng = random.Random(101)
     for base in (dihedral(101), trivial(101)):
         assert base.verify() == verify_by_triples(base) == VerificationReport(True, ())
@@ -343,7 +390,7 @@ def test_verify_at_order_101_matches_the_triple_loop():
             assert not report.valid and report == verify_by_triples(m)
 
 
-def test_verify_at_order_255_is_fast_and_exact():
+def test_verify_at_order_255_is_fast_and_exact(backend):
     for base in (dihedral(255), trivial(255)):
         start = time.perf_counter()
         assert base.verify().valid

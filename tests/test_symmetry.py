@@ -19,10 +19,10 @@ from quandles import (
 )
 from quandles import _kernel
 from quandles.permutation import PermGroup, Permutation, all_permutations, orbit_partition
-from quandles.symmetry import _label_table, _named_groups, stabilizer_group
+from quandles.symmetry import _LABELS, _fingerprint, stabilizer_group
 
 import tables
-from reference import least_witness, np_count_explicit
+from reference import least_witness, named_groups, np_count_explicit
 
 
 def test_permute_worked_example():
@@ -213,7 +213,7 @@ def test_group_invariants_match_brute_force(backend, report_for, request, monkey
             aut = stabilizer_group(n, _kernel.orbit(rec.representative.flat(), n)[2])
             assert aut.order == rec.aut_order
             groups.append(aut)
-    groups += [group for _, group in _named_groups()]
+    groups += [group for _, group in named_groups()]
     groups += [PermGroup(n, all_permutations(n)) for n in range(1, 7)]
     for g in groups:
         _assert_invariants_by_brute_force(g)
@@ -239,9 +239,17 @@ def test_group_labels_agree_across_backends(n, compiled, report_for, monkeypatch
 
 
 def test_label_table_fingerprints_are_distinct():
-    table = _label_table()  # raises on any fingerprint collision
-    assert len(table) == 14
-    assert set(table.values()) == {
+    # the literal label table is exactly the fingerprints of the named groups,
+    # generated from their permutations, and no two of them collide
+    rebuilt: dict = {}
+    for label, group in named_groups():
+        fp = _fingerprint(group)
+        assert fp not in rebuilt, f"fingerprint collision: {label} vs {rebuilt[fp]}"
+        rebuilt[fp] = label
+        assert identify_group(group).label == label
+    assert rebuilt == _LABELS
+    assert len(rebuilt) == 14
+    assert set(rebuilt.values()) == {
         "Z1", "Z2", "Z3", "Z4", "Z5", "Z2xZ2", "Z3xZ2", "S3", "D8", "A4",
         "S3xZ2", "D20", "S4", "S5",
     }
