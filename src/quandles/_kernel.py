@@ -13,7 +13,9 @@ text format and `verify` checks the three table conditions.  Their pure
 mirrors are quandles.matrix's parse_matrix and QuandleMatrix.verify, which
 call them through this module's _speedups, so a test that swaps the
 backend here swaps them too.  The compiled parse declines, with None, all
-text but the plain format, and the pure parser then reads it.
+text but the plain format, and the pure parser then reads it.  Every kernel
+reads a table as its row-major 1-based bytes, the form in which a
+QuandleMatrix holds it up to order 255, so no table is converted on its way in.
 
 The compiled walk is one loop for every keep mode: it abandons an image
 once it is greater than the least so far and is not the table itself.
@@ -242,6 +244,8 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     its own stabilizer and image lists.  Walks that keep images are
     never remembered.
     """
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if keep == KEEP_NONE and type(flat) is bytes:
         least, witness, stabilizer = _last_walk(flat, n, keep, _speedups)
         return least, witness, list(stabilizer), []
@@ -291,7 +295,9 @@ def transpose(blob: bytes, n: int) -> bytes:
 
 @functools.lru_cache(maxsize=1)
 def _column_gather(n: int) -> operator.itemgetter:
-    """The gather taking a row-major n*n table, n >= 2, to its entries in column-tuple order."""
+    """The gather taking a row-major n*n table to its entries in column-tuple order, and back."""
+    if n == 1:  # a gather of one index would give an int, not a sequence
+        return operator.itemgetter(slice(None))
     return operator.itemgetter(*[i * n + j for j in range(n) for i in range(n)])
 
 

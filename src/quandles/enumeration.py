@@ -79,26 +79,24 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
     their orbit walks.  `keep` is KEEP_COLUMN0, whose images are the class's
     normal forms, or KEEP_ALL.  Checks the scan with the walk's own images
     as it goes: those sharing `flat`'s column 0, one run of the sorted
-    column tuples, are the class's normal forms, and each must be a scanned
-    table not yet claimed; the walk then claims them.  A kept orbit must
-    number n! / |Aut|.  A scanned table outside the normal forms of its
-    class, or one that the class's walk lost from its normal forms, shows as
-    a class walked twice.
+    column tuples, are the class's normal forms, and each, turned back into
+    its table, must be a scanned table not yet claimed; the walk then claims
+    them.  A kept orbit must number n! / |Aut|.  A scanned table outside the
+    normal forms of its class, or one that the class's walk lost from its
+    normal forms, shows as a class walked twice.
     """
     if operator.index(cap) < 1:  # 0.5 is a TypeError, like every non-integral cap
         raise ValueError("cap must be positive")
     flats, placements, hit = _kernel.scan(n, cap=cap)
     if hit:
         raise ResourceLimitError(n, placements, cap, len(flats) * factorial(n))
-    nn = n * n
-    by_column = _kernel.transpose(b"".join(flats), n)
-    columns = [by_column[k : k + nn] for k in range(0, len(by_column), nn)]
-    unclaimed = set(columns)  # column tuples, as the walk gives its images
+    unclaimed = set(flats)
     if len(unclaimed) != len(flats):
         raise RuntimeError(f"the order-{n} scan emitted a table twice")
     walked = set()
-    for flat, column in zip(flats, columns):
-        if column not in unclaimed:
+    to_rows = _kernel._column_gather(n)  # a column tuple's table: transposing is its own inverse
+    for flat in flats:
+        if flat not in unclaimed:
             continue
         walk = _kernel.orbit(flat, n, keep)
         least, _, stabilizer, images = walk
@@ -115,11 +113,11 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
                 f"{len(images)} images, |Aut| = {len(stabilizer)}"
             )
         # the run of images whose column 0 is flat's; every entry is below 0xff
-        head = column[:n]
+        head = flat[::n]
         start = bisect_left(images, head)
-        normal = images[start : bisect_left(images, head + b"\xff", start)]
+        normal = [bytes(to_rows(image)) for image in images[start : bisect_left(images, head + b"\xff", start)]]
         if not unclaimed.issuperset(normal):
-            missing = min(_kernel.transpose(image, n) for image in normal if image not in unclaimed)
+            missing = min(table for table in normal if table not in unclaimed)
             raise RuntimeError(
                 f"orbit-stabilizer mismatch for {QuandleMatrix.from_flat(flat, n)!r}: its normal form "
                 f"{QuandleMatrix.from_flat(missing, n)!r} is missing from the scan"

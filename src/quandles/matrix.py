@@ -59,14 +59,15 @@ class VerificationReport:
 
 
 class QuandleMatrix:
-    """Immutable n×n table with entries in {1..n}.
+    """Immutable n×n table with entries in {1..n}, held as its row-major entries in
+    the kernels' format: bytes up to order 255, a tuple of ints past it.
 
     Construction checks only shape and entry range; call `verify` for the
     quandle conditions.  Operations documented as requiring a valid table
     assume `verify().valid` and standard form.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("n", "_entries")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(r) for r in rows)
@@ -81,24 +82,26 @@ class QuandleMatrix:
                 odd_type = type(x) is not int and (isinstance(x, bool) or not isinstance(x, int))
                 if odd_type or not 1 <= x <= n:
                     raise ValueError(f"entry {x!r} outside 1..{n}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_entries", _held(itertools.chain.from_iterable(rows), n))
 
     @classmethod
-    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> QuandleMatrix:
-        """Wrap rows that are square tuples of ints in 1..n by construction, unchecked."""
+    def _unchecked(cls, entries: Iterable[int], n: int) -> QuandleMatrix:
+        """Wrap n*n row-major ints in 1..n by construction, unchecked."""
         table = object.__new__(cls)
-        object.__setattr__(table, "rows", rows)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "_entries", _held(entries, n))
         return table
 
     def __setattr__(self, name, value):
         raise AttributeError("QuandleMatrix is immutable")
 
     def __reduce__(self):
-        return (QuandleMatrix, (self.rows,))
+        return (QuandleMatrix.from_flat, (self._entries, self.n))
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*[iter(self._entries)] * self.n))  # n times one iterator: zip takes n entries per row
 
     @classmethod
     def from_flat(cls, flat: bytes | Iterable[int], n: int) -> QuandleMatrix:
@@ -112,37 +115,39 @@ class QuandleMatrix:
             stray = flat.translate(None, bytes(range(1, min(n, 255) + 1)))
             if stray:
                 raise ValueError(f"entry {stray[0]!r} outside 1..{n}")
-            return cls._unchecked(_rows(flat, n))
+            return cls._unchecked(flat, n)
         flat = list(flat)
         if len(flat) != n * n:
             raise ValueError(f"flat table has {len(flat)} entries, an order-{n} table has {n * n}")
         return cls(flat[i * n : (i + 1) * n] for i in range(n))
 
     def flat(self) -> bytes:
-        """Row-major bytes of the 1-based entries (n ≤ 255)."""
-        return bytes(itertools.chain.from_iterable(self.rows))
+        """Row-major bytes of the 1-based entries (n ≤ 255): the held bytes, not a copy."""
+        if self.n > 255:
+            raise ValueError(f"an order-{self.n} table's entries do not fit a byte")
+        return self._entries
 
     def apply(self, i: int, j: int) -> int:
         """The product i▷j, i.e. the entry in row i, column j (1-based)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"indices ({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
+        return self._entries[(i - 1) * self.n + j - 1]
 
     def row(self, i: int) -> tuple[int, ...]:
         if not 1 <= i <= self.n:
             raise IndexError(f"row {i} outside 1..{self.n}")
-        return self.rows[i - 1]
+        return tuple(self._entries[(i - 1) * self.n : i * self.n])
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 1 <= j <= self.n:
             raise IndexError(f"column {j} outside 1..{self.n}")
-        return tuple(r[j - 1] for r in self.rows)
+        return tuple(self._entries[j - 1 :: self.n])
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
+        return tuple(self._entries[:: self.n + 1])
 
     def is_standard(self) -> bool:
-        return all(self.rows[i][i] == i + 1 for i in range(self.n))
+        return self.diagonal() == tuple(range(1, self.n + 1))
 
     def column_permutation(self, j: int) -> Permutation:
         """The right-translation i ↦ i▷j; a bijection fixing j on valid tables."""
@@ -158,14 +163,15 @@ class QuandleMatrix:
         Entries are not relabelled.  Requires the diagonal to be a permutation
         of {1..n}; idempotent on standard-form input.
         """
+        n, e = self.n, self._entries
         diag = self.diagonal()
-        if sorted(diag) != list(range(1, self.n + 1)):
-            raise ValueError(f"diagonal {diag} is not a permutation of 1..{self.n}")
+        if sorted(diag) != list(range(1, n + 1)):
+            raise ValueError(f"diagonal {diag} is not a permutation of 1..{n}")
         if self.is_standard():
             return self
         where = {v: i for i, v in enumerate(diag)}  # row whose diagonal holds v
-        order = [where[v] for v in range(1, self.n + 1)]
-        return QuandleMatrix._unchecked(tuple(tuple(self.rows[i][j] for j in order) for i in order))
+        order = [where[v] for v in range(1, n + 1)]
+        return QuandleMatrix._unchecked([e[i * n + j] for i in order for j in order], n)
 
     def verify(self) -> VerificationReport:
         """Check the three table conditions, reporting the first failure.
@@ -184,14 +190,15 @@ class QuandleMatrix:
         n = self.n
         speedups = _kernel._speedups
         if speedups is not None and n <= _kernel.MAX_DEGREE:
-            failure = speedups.verify(self.flat(), n)
+            failure = speedups.verify(self._entries, n)
             return VerificationReport(failure is None, () if failure is None else (failure,))
         diag = self.diagonal()
         if len(set(diag)) < n:
             # the first point with a repeated value has all its repeats after it
             i = next(i for i, v in enumerate(diag) if diag.count(v) > 1)
             return VerificationReport(False, (("diagonal", (i + 1, diag.index(diag[i], i + 1) + 1)),))
-        columns = list(zip(*self.standardized().rows))
+        standard = self.standardized()._entries
+        columns = [standard[j::n] for j in range(n)]
         for j, col in enumerate(columns):
             if len(set(col)) < n:
                 i = next(i for i, v in enumerate(col) if v in col[:i])
@@ -203,15 +210,14 @@ class QuandleMatrix:
 
     def dual(self) -> QuandleMatrix:
         """The table of a◁b, obtained by inverting every column permutation."""
-        cols = [self.column_permutation(j).inverse() for j in range(1, self.n + 1)]
-        return QuandleMatrix(
-            tuple(cols[j](i) for j in range(self.n)) for i in range(1, self.n + 1)
-        )
+        n = self.n
+        cols = [self.column_permutation(j).inverse() for j in range(1, n + 1)]
+        return QuandleMatrix._unchecked([cols[j](i) for i in range(1, n + 1) for j in range(n)], n)
 
     def is_latin(self) -> bool:
         """True when every row is also a permutation of {1..n}."""
-        n = self.n
-        return all(len(set(r)) == n for r in self.rows)  # entries lie in 1..n
+        n, e = self.n, self._entries
+        return all(len(set(e[i : i + n])) == n for i in range(0, n * n, n))  # entries lie in 1..n
 
     def inner_group(self) -> PermGroup:
         """Group generated by the column permutations; a finite group holds their inverses."""
@@ -219,7 +225,7 @@ class QuandleMatrix:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition under the inner group, generated by the columns; assumes a valid table."""
-        return orbit_partition(self.n, zip(*self.rows))
+        return orbit_partition(self.n, map(self.column, range(1, self.n + 1)))
 
     def is_connected(self) -> bool:
         """True when the inner group acts transitively; assumes a valid table.
@@ -228,22 +234,23 @@ class QuandleMatrix:
         the row" gives the orbit of 1 under the maps R_j; on a valid table
         they are permutations and that is its orbit under the inner group.
         """
-        rows = self.rows
-        return len(closure([1], lambda i: rows[i - 1])) == len(rows)
+        n, e = self.n, self._entries
+        return len(closure([1], lambda i: e[(i - 1) * n : i * n])) == n
 
     def to_text(self) -> str:
         """The interchange format: n lines of n space-separated integers."""
-        return "\n".join(" ".join(map(str, r)) for r in self.rows)
+        n, e = self.n, self._entries
+        return "\n".join(" ".join(map(str, e[i : i + n])) for i in range(0, n * n, n))
 
     def to_machine_line(self) -> str:
         """Row-major comma-separated entries on one line."""
-        return ",".join(str(x) for row in self.rows for x in row)
+        return ",".join(map(str, self._entries))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuandleMatrix) and self.rows == other.rows
+        return isinstance(other, QuandleMatrix) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self._entries)
 
     def __repr__(self) -> str:
         return f"QuandleMatrix({[list(r) for r in self.rows]!r})"
@@ -252,32 +259,31 @@ class QuandleMatrix:
         return self.to_text()
 
 
-def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of a row-major n x n table of bytes, as tuples of ints."""
-    return tuple(zip(*[iter(flat)] * n))  # n times one iterator: zip takes n entries per row
+def _held(entries: Iterable[int], n: int) -> bytes | tuple[int, ...]:
+    """An order-n table's row-major entries as QuandleMatrix holds them; held entries are kept as they are."""
+    return bytes(entries) if n <= 255 else tuple(entries)
 
 
-def _first_nondistributive(columns: list[tuple[int, ...]]) -> tuple[int, int, int] | None:
+def _first_nondistributive(columns: list[bytes] | list[tuple[int, ...]]) -> tuple[int, int, int] | None:
     """The least 1-based (i, j, k) with R_k(R_j(i)) != R_{R_k(j)}(R_k(i)), or None.
 
     `columns` are the n columns of a standard-form table, each a
-    permutation of 1..n.  For each k, relabelling all the columns joined
-    together through R_k gives R_k∘R_j for every j, and relabelling column
-    k through each R_{R_k(j)} gives the other sides; the two are compared
-    whole.  Up to order 255 a column is bytes and a relabelling one
-    bytes.translate; past that, entries do not fit a byte, and tuples and
-    itemgetter stand in.
+    permutation of 1..n, sliced from the entries as the table holds them.
+    For each k, relabelling all the columns joined together through R_k
+    gives R_k∘R_j for every j, and relabelling column k through each
+    R_{R_k(j)} gives the other sides; the two are compared whole.  Up to
+    order 255 a column is bytes and a relabelling one bytes.translate; past
+    that, entries do not fit a byte, and tuples and itemgetter stand in.
     """
     n = len(columns)
     # sides yields, per k, both sides for every j, joined in order of j
     if n <= 255:
-        cols = [bytes(c) for c in columns]
         pad = bytes(255 - n)
-        images = [b""] + [b"\0" + c + pad for c in cols]  # images[x] sends y to R_x(y)
-        joined = b"".join(cols)
+        images = [b""] + [b"\0" + c + pad for c in columns]  # images[x] sends y to R_x(y)
+        joined = b"".join(columns)
         sides = (
             (joined.translate(images[k]), b"".join([ck.translate(images[x]) for x in ck]))
-            for k, ck in enumerate(cols, start=1)
+            for k, ck in enumerate(columns, start=1)
         )
     else:
         chain = itertools.chain.from_iterable
@@ -316,8 +322,8 @@ def parse_matrix(text: str) -> QuandleMatrix:
     speedups = _kernel._speedups
     flat = None if speedups is None else speedups.parse(text)
     if flat is not None:
-        return QuandleMatrix._unchecked(_rows(flat, math.isqrt(len(flat))))
-    rows: list[tuple[int, ...]] = []
+        return QuandleMatrix._unchecked(flat, math.isqrt(len(flat)))
+    entries: list[int] = []  # each data row adds n
     n: int | None = None
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -337,14 +343,14 @@ def parse_matrix(text: str) -> QuandleMatrix:
             n = len(values)
         if len(values) != n:
             raise QuandleParseError(f"expected {n} entries, got {len(values)}", lineno)
-        if len(rows) == n:
+        if len(entries) == n * n:
             raise QuandleParseError(f"more than {n} data rows", lineno)
         if min(values) < 1 or max(values) > n:
             col, v = next((col, v) for col, v in enumerate(values, start=1) if not 1 <= v <= n)
             raise QuandleParseError(f"entry {v} outside 1..{n}", lineno, col)
-        rows.append(values)
+        entries += values
     if n is None:
         raise QuandleParseError("no data lines", 1)
-    if len(rows) != n:
-        raise QuandleParseError(f"expected {n} data rows, got {len(rows)}", len(lines) or 1)
-    return QuandleMatrix._unchecked(tuple(rows))
+    if len(entries) != n * n:
+        raise QuandleParseError(f"expected {n} data rows, got {len(entries) // n}", len(lines) or 1)
+    return QuandleMatrix._unchecked(entries, n)

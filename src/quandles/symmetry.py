@@ -22,20 +22,9 @@ def permute(m: QuandleMatrix, rho: Permutation) -> QuandleMatrix:
         raise ValueError(f"degree {rho.degree} does not match order {m.n}")
     n = m.n
     p = rho.images
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = m.rows[i]
-        target = out[p[i] - 1]
-        for j in range(n):
-            target[p[j] - 1] = p[row[j] - 1]
-    return QuandleMatrix(out)
-
-
-def _flat(m: QuandleMatrix) -> bytes:
-    """m's bytes for the relabelling walk, which takes orders 1..MAX_ORDER only."""
-    if m.n > _kernel.MAX_ORDER:
-        raise ValueError(f"order must be in 1..{_kernel.MAX_ORDER}")
-    return m.flat()
+    e = m._entries
+    q = sorted(range(n), key=p.__getitem__)  # rho sends point q[a] + 1 to a + 1
+    return QuandleMatrix._unchecked([p[e[i * n + j] - 1] for i in q for j in q], n)
 
 
 def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
@@ -50,8 +39,8 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     if a.n != b.n:
         return None
     n = a.n
-    least_a, w_a, aut_a, _ = _kernel.orbit(_flat(a), n)
-    least_b, w_b, _, _ = _kernel.orbit(_flat(b), n)
+    least_a, w_a, aut_a, _ = _kernel.orbit(a.flat(), n)
+    least_b, w_b, _, _ = _kernel.orbit(b.flat(), n)
     if least_a != least_b:
         return None
     # (w_b^-1 w_a s)(x) = w_b^-1(w_a(s(x))): s's image bytes translated through w_b^-1 w_a
@@ -69,12 +58,12 @@ def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
     """All permutations fixing m under the relabelling action: the stabilizer of one walk."""
-    return stabilizer_group(m.n, _kernel.orbit(_flat(m), m.n)[2])
+    return stabilizer_group(m.n, _kernel.orbit(m.flat(), m.n)[2])
 
 
 def np_count(m: QuandleMatrix) -> int:
     """Number of standard-form tables in m's class: n! / |Aut| (orbit-stabilizer)."""
-    return factorial(m.n) // len(_kernel.orbit(_flat(m), m.n)[2])
+    return factorial(m.n) // len(_kernel.orbit(m.flat(), m.n)[2])
 
 
 def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
@@ -84,7 +73,7 @@ def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
     are entrywise equal.  The least image comes from one walk that keeps
     no other image.
     """
-    return QuandleMatrix.from_flat(_kernel.canon_min(_flat(m), m.n), m.n)
+    return QuandleMatrix.from_flat(_kernel.canon_min(m.flat(), m.n), m.n)
 
 
 def determinant(m: QuandleMatrix) -> int:

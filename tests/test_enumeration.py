@@ -234,6 +234,21 @@ def test_table_blob_drops_each_copy_once_the_next_is_made(compiled):
     assert peak <= 6 * len(blob)
 
 
+def test_classification_holds_the_scanned_tables_once(compiled):
+    # the check keys its unclaimed set by the scanned tables themselves and
+    # turns only each class's normal-form run back from column tuples; a
+    # column-tuple copy of the whole scan, as a set, reads 13.4x here
+    scanned = sum(map(len, _kernel.scan(8)[0]))
+    tracemalloc.start()
+    try:
+        report = enumerate_classes(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (scanned, len(report.classes)) == (14584 * 64, 1581)
+    assert peak <= 12 * scanned
+
+
 def _normalize_labels(stream: bytes) -> bytes:
     return re.sub(rb"(?m)^(aut=\d+):\S+", rb"\1:*", stream)
 

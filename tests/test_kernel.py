@@ -523,7 +523,7 @@ def test_compiled_scan_rejects_malformed_ranks(compiled):
         compiled.scan(2, [0], 100)  # ranks must be bytes
 
 
-def test_scan_argument_validation():
+def test_scan_argument_validation(built_speedups, monkeypatch):
     with pytest.raises(ValueError):
         _kernel.scan(0)
     with pytest.raises(ValueError):
@@ -532,6 +532,20 @@ def test_scan_argument_validation():
         _kernel.scan(3, 99)  # the cap is keyword-only
     with pytest.raises(ValueError):
         _kernel.canon_min(b"\x01\x01", 2)
+    # the walk checks the order itself, with scan's message, on both backends,
+    # so the single-table queries need no check of their own
+    queries = (canonical_form, automorphism_group, np_count, lambda m: are_isomorphic(m, m))
+    for speedups in (None, built_speedups):
+        monkeypatch.setattr(_kernel, "_speedups", speedups)
+        for flat, n in ((b"", 0), (b"\x01" * 121, 11), (b"\x01" * 255**2, 255)):
+            for keep in (_kernel.KEEP_NONE, _kernel.KEEP_COLUMN0, _kernel.KEEP_ALL):
+                with pytest.raises(ValueError, match=r"^order must be in 1\.\.10$"):
+                    _kernel.orbit(flat, n, keep)
+        for query in queries:
+            with pytest.raises(ValueError, match=r"^order must be in 1\.\.10$"):
+                query(trivial(11))
+            with pytest.raises(ValueError):
+                query(trivial(256))  # its entries do not fit the walk's bytes
 
 
 def test_env_var_forces_pure_backend():

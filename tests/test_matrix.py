@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 import time
@@ -298,6 +299,33 @@ def test_from_flat_checks_bytes_like_the_constructor(matrices_for):
             built = QuandleMatrix.from_flat(m.flat(), n)
             assert built == QuandleMatrix.from_flat(list(m.flat()), n) == m
             assert all(type(row) is tuple and all(type(x) is int for x in row) for row in built.rows)
+
+
+def test_one_table_however_built(backend):
+    # the held entries are bytes up to order 255 and a tuple of ints past it,
+    # whatever builds the table; rows read back the same tuples of ints
+    for n in (1, 6, 255, 256):
+        m = dihedral(n)
+        rows = tuple(tuple((2 * j - i) % n + 1 for j in range(n)) for i in range(n))
+        entries = [x for row in rows for x in row]
+        built = [
+            QuandleMatrix(rows),
+            QuandleMatrix.from_flat(entries, n),
+            parse_matrix(m.to_text()),
+            m.standardized(),
+            permute(m, Permutation.identity(n)),
+        ]
+        if n <= 255:
+            built.append(QuandleMatrix.from_flat(bytes(entries), n))
+        for table in built + [pickle.loads(pickle.dumps(t)) for t in built]:
+            assert table == m and hash(table) == hash(m)
+            assert table.rows == rows
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in table.rows)
+            if n <= 255:
+                assert table.flat() == bytes(entries) and table.flat() is table.flat()
+            else:
+                with pytest.raises(ValueError):
+                    table.flat()
 
 
 def test_orbits_and_connected_match_warshall(matrices_for):
