@@ -206,8 +206,9 @@ def _scan_closure_pure(n, ranks, cap):
 # which images orbit() returns: none, those sharing the input's column 0, or all
 KEEP_NONE, KEEP_COLUMN0, KEEP_ALL = 0, 1, 2
 
-# (least, witness, stabilizer, images), images as sorted column tuples
-Walk = tuple[bytes, bytes, list[bytes], list[bytes]]
+# (least, witness, stabilizer, images): the stabilizer an ascending tuple in
+# every keep mode, the images a list of sorted column tuples
+Walk = tuple[bytes, bytes, tuple[bytes, ...], list[bytes]]
 
 _ONE_BASED = bytes(range(1, 256)) + b"\0"  # translate table adding 1 to every entry
 _IDENTITY = bytes(range(256))  # translate table leaving every entry as it is
@@ -221,10 +222,10 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     out[rho(i)][rho(j)] = rho(flat[i][j]).  Returns
     (least, witness, stabilizer, images): `least` is the row-major least
     image, `witness` the least relabelling that reaches it, `stabilizer`
-    the relabellings fixing `flat`, least first, and `images` the distinct
-    images that `keep` selects: none (KEEP_NONE), those whose column 0 is
-    `flat`'s (KEEP_COLUMN0; for a table in scan's normal form, exactly the
-    normal forms of its class) or all of them (KEEP_ALL, with
+    the ascending tuple of the relabellings fixing `flat`, and `images` the
+    distinct images that `keep` selects: none (KEEP_NONE), those whose
+    column 0 is `flat`'s (KEEP_COLUMN0; for a table in scan's normal form,
+    exactly the normal forms of its class) or all of them (KEEP_ALL, with
     len(images) * len(stabilizer) == n!).  No other image is kept.  Each
     image is its column tuple, R_0 … R_{n-1} concatenated (byte j*n + i is
     entry (i, j)), and the list is in ascending order: the order of
@@ -240,15 +241,14 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     entry lies in 1..n and `keep` is one of the three.
 
     The last KEEP_NONE walk of a bytes table is remembered, so canon, Aut,
-    np and iso queries on one table share one walk; each call still gets
-    its own stabilizer and image lists.  Walks that keep images are
-    never remembered.
+    np and iso queries on one table share one walk, and its immutable
+    stabilizer tuple; each call still gets its own image list.  Walks that
+    keep images are never remembered.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if keep == KEEP_NONE and type(flat) is bytes:
-        least, witness, stabilizer = _last_walk(flat, n, keep, _speedups)
-        return least, witness, list(stabilizer), []
+        return _last_walk(flat, n, keep, _speedups) + ([],)
     return _walk(flat, n, keep, _speedups)
 
 
@@ -262,8 +262,7 @@ def _walk(flat: bytes, n: int, keep: int, speedups) -> Walk:
 # other backend's walk; typed, so a keep of 0.0 or False is not taken for 0
 @functools.lru_cache(maxsize=1, typed=True)
 def _last_walk(flat: bytes, n: int, keep: int, speedups) -> tuple[bytes, bytes, tuple[bytes, ...]]:
-    least, witness, stabilizer, _ = _walk(flat, n, keep, speedups)
-    return least, witness, tuple(stabilizer)
+    return _walk(flat, n, keep, speedups)[:3]
 
 
 SUFFIX_POINTS = 6  # the pure walk caches the relabellings of at most this many last points
@@ -330,7 +329,7 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     if keep not in (KEEP_NONE, KEEP_COLUMN0, KEEP_ALL):
         raise ValueError(f"keep must be {KEEP_NONE}, {KEEP_COLUMN0} or {KEEP_ALL}")
     if n == 1:  # one relabelling; a gather of one index would give an int, not a tuple
-        return flat, flat, [flat], [] if keep == KEEP_NONE else [flat]
+        return flat, flat, (flat,), [] if keep == KEEP_NONE else [flat]
     # rho = base∘s: base takes rho's first m images, then the values left in
     # ascending order, and s permutes the last points.  Prefixes in order,
     # then s in order within each, is rho in order, and rho . flat is
@@ -365,8 +364,8 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     if keep == KEEP_ALL:  # past about ten images one transpose of them all beats a gather each
         nn = n * n
         blob = transpose(b"".join(images), n)
-        return least, witness, stabilizer, sorted(blob[k : k + nn] for k in range(0, len(blob), nn))
-    return least, witness, stabilizer, sorted(map(bytes, map(_column_gather(n), images)))
+        return least, witness, tuple(stabilizer), sorted(blob[k : k + nn] for k in range(0, len(blob), nn))
+    return least, witness, tuple(stabilizer), sorted(map(bytes, map(_column_gather(n), images)))
 
 
 def canon_min(flat: bytes, n: int) -> bytes:

@@ -249,7 +249,8 @@ PyDoc_STRVAR(orbit_doc,
 "sharing the table's column 0, 2 all.  Under 1 and 2 one more pass builds the\n"
 "kept image of each relabelling least in its coset of the stabilizer, so each\n"
 "once, as sorted column tuples R_0..R_{n-1}; one built twice is a RuntimeError.\n"
-"Bytes are made only for stabilizer elements, kept images, least and witness.");
+"The stabilizer is an ascending tuple, the images a list.  Bytes are made only\n"
+"for stabilizer elements, kept images, least and witness.");
 
 /* Append to `images` the column tuple of the image of each relabelling p
    least in its coset p∘Aut that, under `column0`, keeps the table's column
@@ -405,6 +406,9 @@ orbit(PyObject *self, PyObject *args)
         changed = next_permutation(p, n);
     } while (changed);
     if (keep > 0 && coset_images(images, first, second, pairs, table, n, keep == 1) < 0)
+        goto fail;
+    Py_SETREF(stabilizer, PyList_AsTuple(stabilizer));
+    if (stabilizer == NULL)
         goto fail;
     PyBuffer_Release(&view);
     return Py_BuildValue("(y#y#NN)", (const char *)least, (Py_ssize_t)nn,

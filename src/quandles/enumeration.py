@@ -30,7 +30,8 @@ from math import factorial
 
 from . import _kernel
 from .matrix import QuandleMatrix
-from .symmetry import ClassRecord, identify_group, stabilizer_group
+from .permutation import PermGroup
+from .symmetry import ClassRecord, identify_group
 
 class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed its budget instead of hanging.
@@ -179,7 +180,7 @@ def enumerate_classes(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> EnumerationR
     keyed = []  # (representative bytes, record): bytes order like the row tuples
     for least, _, stabilizer, _ in _class_orbits(n, cap, _kernel.KEEP_COLUMN0):
         rep = QuandleMatrix.from_flat(least, n)
-        aut = stabilizer_group(n, stabilizer)
+        aut = PermGroup._of_words(n, stabilizer)
         record = ClassRecord(
             representative=rep,
             aut_order=aut.order,

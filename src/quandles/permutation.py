@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import lcm
 
@@ -191,14 +192,17 @@ def orbit_partition(degree: int, maps: Iterable[Sequence[int]]) -> tuple[tuple[i
 
 
 class PermGroup:
-    """A permutation group of degree 1..255, held as the 1-based image bytes of its elements.
+    """A permutation group of degree 1..255, held as the ascending 1-based image bytes of its elements.
 
     Bytes order like image tuples, so elements() lists the Permutations in
     the order of their images; they are made only on request, by
-    elements(), iteration and generators().
+    elements(), iteration and generators().  Membership is a binary search.
+    The histogram, strong generating set and center order that labels,
+    orbits and generators read come from one pass of
+    _kernel.group_invariants at construction.  Instances are immutable.
     """
 
-    __slots__ = ("degree", "_words", "_sorted", "_cache")
+    __slots__ = ("degree", "_words", "_invariants")
 
     def __init__(self, degree: int, elements: Iterable[Permutation]):
         """The group of the given permutations, or the trivial group for none.
@@ -212,30 +216,28 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError("mixed degrees in group")
             words.add(bytes(g.images))
-        self._hold(degree, words)
-        if self._closure(degree, self._invariants()[1], self._words) != self._words:
+        self._hold(degree, tuple(sorted(words)))
+        within = set(self._words)  # for no elements, _hold holds the identity
+        if self._closure(degree, self._invariants[1], within) != within:
             raise ValueError("not closed under composition")
 
-    def _hold(self, degree: int, words: Iterable[bytes]) -> None:
+    def _hold(self, degree: int, words: tuple[bytes, ...]) -> None:
         if not 1 <= degree <= _kernel.MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{_kernel.MAX_DEGREE}")
+        words = words or (bytes(range(1, degree + 1)),)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_words", frozenset(words) or frozenset([bytes(range(1, degree + 1))]))
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_cache", None)
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_invariants", _kernel.group_invariants(b"".join(words), degree))
 
     @classmethod
-    def _of_words(cls, degree: int, words: Iterable[bytes]) -> PermGroup:
-        """The group whose elements are the image bytes `words`, which must form one."""
+    def _of_words(cls, degree: int, words: tuple[bytes, ...]) -> PermGroup:
+        """The group of the image bytes `words`, ascending and distinct, which must form one; held as is."""
         group = object.__new__(cls)
         group._hold(degree, words)
         return group
 
     def __setattr__(self, name, value):
-        if name in ("_sorted", "_cache"):
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("PermGroup is immutable")
+        raise AttributeError("PermGroup is immutable")
 
     def __reduce__(self):
         return (PermGroup._of_words, (self.degree, self._words))
@@ -248,7 +250,7 @@ class PermGroup:
         return hash((self.degree, self._words))
 
     @staticmethod
-    def _closure(degree: int, generators: Iterable[bytes], within: frozenset | None = None) -> set[bytes]:
+    def _closure(degree: int, generators: Iterable[bytes], within: set[bytes] | None = None) -> set[bytes]:
         """The closure of the identity under the image bytes `generators`.
 
         h∘g is g's bytes translated through h's images.  With `within`, the
@@ -277,7 +279,7 @@ class PermGroup:
             raise ValueError(f"degree must be in 1..{_kernel.MAX_DEGREE}")
         if any(g.degree != degree for g in gens):
             raise ValueError("mixed degrees in group")
-        return cls._of_words(degree, cls._closure(degree, [bytes(g.images) for g in gens]))
+        return cls._of_words(degree, tuple(sorted(cls._closure(degree, [bytes(g.images) for g in gens]))))
 
     @property
     def order(self) -> int:
@@ -287,24 +289,17 @@ class PermGroup:
         return len(self._words)
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p.degree == self.degree and bytes(p.images) in self._words
+        if not isinstance(p, Permutation) or p.degree != self.degree:
+            return False
+        word = bytes(p.images)
+        at = bisect_left(self._words, word)
+        return at < len(self._words) and self._words[at] == word
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements())
 
     def elements(self) -> tuple[Permutation, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(Permutation._unchecked(tuple(w)) for w in sorted(self._words))
-        return self._sorted
-
-    def _invariants(self) -> _kernel.Invariants:
-        """(element-order histogram, strong generating set, center order), cached.
-
-        One pass of _kernel.group_invariants over the elements' bytes.
-        """
-        if self._cache is None:
-            self._cache = _kernel.group_invariants(b"".join(self._words), self.degree)
-        return self._cache
+        return tuple(Permutation._unchecked(tuple(w)) for w in self._words)
 
     def generators(self) -> tuple[Permutation, ...]:
         """A strong generating set, least image tuple first.
@@ -315,20 +310,20 @@ class PermGroup:
         PermGroup.generate(generators()) is the group again.  Not minimal;
         the identity group gives ().
         """
-        return tuple(Permutation._unchecked(tuple(g)) for g in self._invariants()[1])
+        return tuple(Permutation._unchecked(tuple(g)) for g in self._invariants[1])
 
     def is_abelian(self) -> bool:
         return self.center_order() == self.order
 
     def center_order(self) -> int:
-        return self._invariants()[2]
+        return self._invariants[2]
 
     def element_order_histogram(self) -> tuple[tuple[int, int], ...]:
-        return self._invariants()[0]
+        return self._invariants[0]
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of {1..degree}, blocks sorted by least element."""
-        return orbit_partition(self.degree, self._invariants()[1])
+        return orbit_partition(self.degree, self._invariants[1])
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

@@ -39,8 +39,8 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     if a.n != b.n:
         return None
     n = a.n
-    least_a, w_a, aut_a, _ = _kernel.orbit(a.flat(), n)
-    least_b, w_b, _, _ = _kernel.orbit(b.flat(), n)
+    least_a, w_a, aut_a, _ = _kernel.orbit(a._entries, n)
+    least_b, w_b, _, _ = _kernel.orbit(b._entries, n)
     if least_a != least_b:
         return None
     # (w_b^-1 w_a s)(x) = w_b^-1(w_a(s(x))): s's image bytes translated through w_b^-1 w_a
@@ -51,19 +51,14 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     return Permutation._unchecked(tuple(min(s.translate(values) for s in aut_a)))
 
 
-def stabilizer_group(n: int, stabilizer: list[bytes]) -> PermGroup:
-    """The group of the relabellings in a stabilizer list from _kernel.orbit, held as its bytes."""
-    return PermGroup._of_words(n, stabilizer)
-
-
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
-    """All permutations fixing m under the relabelling action: the stabilizer of one walk."""
-    return stabilizer_group(m.n, _kernel.orbit(m.flat(), m.n)[2])
+    """All permutations fixing m under the relabelling action: one walk's stabilizer, held as it comes."""
+    return PermGroup._of_words(m.n, _kernel.orbit(m._entries, m.n)[2])
 
 
 def np_count(m: QuandleMatrix) -> int:
     """Number of standard-form tables in m's class: n! / |Aut| (orbit-stabilizer)."""
-    return factorial(m.n) // len(_kernel.orbit(m.flat(), m.n)[2])
+    return factorial(m.n) // len(_kernel.orbit(m._entries, m.n)[2])
 
 
 def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
@@ -73,7 +68,7 @@ def canonical_form(m: QuandleMatrix) -> QuandleMatrix:
     are entrywise equal.  The least image comes from one walk that keeps
     no other image.
     """
-    return QuandleMatrix.from_flat(_kernel.canon_min(m.flat(), m.n), m.n)
+    return QuandleMatrix.from_flat(_kernel.canon_min(m._entries, m.n), m.n)
 
 
 def determinant(m: QuandleMatrix) -> int:

@@ -75,7 +75,8 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
     For each rho in lexicographic order: translate the entries through rho,
     invert rho with an n-step loop and move every entry to its new place.
     Returns (least, witness, stabilizer, images) as the kernel does, the
-    images collected as a set and given as sorted column tuples.
+    stabilizer as a tuple and the images collected as a set and given as
+    sorted column tuples.
     """
     least, witness = flat, bytes(range(1, n + 1))
     stabilizer: list[bytes] = []
@@ -98,7 +99,7 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
             stabilizer.append(word)
         if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
             images.add(cand)
-    return least, witness, stabilizer, sorted(columns(image, n) for image in images)
+    return least, witness, tuple(stabilizer), sorted(columns(image, n) for image in images)
 
 
 def columns(flat: bytes, n: int) -> bytes:

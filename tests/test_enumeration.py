@@ -236,8 +236,10 @@ def test_table_blob_drops_each_copy_once_the_next_is_made(compiled):
 
 def test_classification_holds_the_scanned_tables_once(compiled):
     # the check keys its unclaimed set by the scanned tables themselves and
-    # turns only each class's normal-form run back from column tuples; a
-    # column-tuple copy of the whole scan, as a set, reads 13.4x here
+    # turns only each class's normal-form run back from column tuples, and
+    # each Aut holds its walk's stabilizer as it comes (8.1x); a column-tuple
+    # copy of the whole scan, as a set, reads 13.4x here, and a second copy
+    # of the largest Aut, 8! automorphisms, 10.75x
     scanned = sum(map(len, _kernel.scan(8)[0]))
     tracemalloc.start()
     try:
@@ -246,7 +248,7 @@ def test_classification_holds_the_scanned_tables_once(compiled):
     finally:
         tracemalloc.stop()
     assert (scanned, len(report.classes)) == (14584 * 64, 1581)
-    assert peak <= 12 * scanned
+    assert peak <= 9 * scanned
 
 
 def _normalize_labels(stream: bytes) -> bytes:

@@ -23,6 +23,7 @@ from quandles import (
     canonical_form,
     dihedral,
     enumerate_classes,
+    identify_group,
     np_count,
     permute,
     trivial,
@@ -176,7 +177,7 @@ def _same_orbit(compiled, flat, n):
     assert len(orbit) * len(stabilizer) == math.factorial(n)
     tables = [columns(image, n) for image in orbit]  # the transpose turns a column tuple back
     assert least == min(tables) and flat in tables
-    assert stabilizer == sorted(stabilizer)
+    assert stabilizer == tuple(sorted(stabilizer))
     table = QuandleMatrix.from_flat(flat, n)
     assert permute(table, Permutation(tuple(witness))).flat() == least
     assert walks[_kernel.KEEP_NONE] == (least, witness, stabilizer, [])
@@ -228,14 +229,14 @@ def test_orbit_images_and_stabilizer(fastest_kernel):
     flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
     least, witness, stabilizer, images = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
     assert (least, witness, images) == (flat, b"\x01\x02\x03", [columns(flat, 3)])
-    assert stabilizer == sorted(stabilizer) and len(stabilizer) == 6
+    assert stabilizer == tuple(sorted(stabilizer)) and len(stabilizer) == 6
     # an order-3 class of size 3, walked from a member that is not its least:
     # (1 2 3) and (1 3) reach the least image, and 231 < 321 comes first
     flat = bytes([1, 1, 2, 2, 2, 1, 3, 3, 3])
     least = bytes([1, 1, 1, 3, 2, 2, 2, 3, 3])
     same_column0 = bytes([1, 3, 1, 2, 2, 2, 3, 1, 3])
     walk = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
-    stabilizer = [b"\x01\x02\x03", b"\x02\x01\x03"]
+    stabilizer = (b"\x01\x02\x03", b"\x02\x01\x03")
     images = sorted(columns(image, 3) for image in (flat, least, same_column0))
     assert walk == (least, b"\x02\x03\x01", stabilizer, images)
     # no image is kept by default; KEEP_COLUMN0 keeps those whose column 0 is (1, 2, 3)
@@ -366,19 +367,40 @@ def test_props_makes_one_walk(walks, capsys, tmp_path):
 
 
 def test_remembered_walk_hands_out_copies(walks):
+    # each call gets its own image list; the stabilizer is one immutable
+    # tuple, which the remembered walk and every Aut built from it share
     flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
     table = QuandleMatrix.from_flat(flat, 3)
     aut = automorphism_group(table)
     least, witness, stabilizer, images = _kernel.orbit(flat, 3)
-    stabilizer.clear()
     images.append(flat)
+    assert type(stabilizer) is tuple and aut._words is stabilizer
     assert automorphism_group(table) == aut and aut.order == 6
-    assert _kernel.orbit(flat, 3) == (least, witness, [bytes(g.images) for g in aut.elements()], [])
+    assert _kernel.orbit(flat, 3) == (least, witness, tuple(bytes(g.images) for g in aut.elements()), [])
+    assert _kernel.orbit(flat, 3)[2] is stabilizer
     assert len(walks) == 1
     # a malformed table raises on every call: errors are not remembered
     for _ in range(2):
         with pytest.raises(ValueError):
             _kernel.orbit(b"\x01\x03\x02\x01", 2)
+
+
+def test_aut_is_held_once(walks):
+    # Aut, its label, np and iso all read the remembered walk's stabilizer
+    # as it is: a second copy of S8's 8! automorphisms would hold 2 MiB
+    m = trivial(8)
+    stabilizer = _kernel.orbit(m.flat(), 8)[2]
+    tracemalloc.start()
+    try:
+        aut = automorphism_group(m)
+        answers = (identify_group(aut).label, np_count(m), are_isomorphic(m, m))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert aut._words is stabilizer and aut.order == 40320
+    assert answers == ("unidentified", 1, Permutation.identity(8))
+    assert held <= 64 * 2**10
+    assert len(walks) == 1
 
 
 def test_remembered_walk_is_safe_across_threads(fastest_kernel):
@@ -544,8 +566,9 @@ def test_scan_argument_validation(built_speedups, monkeypatch):
         for query in queries:
             with pytest.raises(ValueError, match=r"^order must be in 1\.\.10$"):
                 query(trivial(11))
-            with pytest.raises(ValueError):
-                query(trivial(256))  # its entries do not fit the walk's bytes
+            # past order 255 the entries are ints, not bytes: the walk's order check still comes first
+            with pytest.raises(ValueError, match=r"^order must be in 1\.\.10$"):
+                query(trivial(256))
 
 
 def test_env_var_forces_pure_backend():

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ from quandles import (
 )
 from quandles import _kernel
 from quandles.permutation import orbit_partition
-from quandles.symmetry import stabilizer_group
 
 from reference import named_groups, orbits_by_warshall
 
@@ -129,6 +129,26 @@ def test_group_equality_is_by_degree_and_elements():
     assert PermGroup.generate([], degree=3) != PermGroup.generate([], degree=4)
     assert PermGroup.generate([Permutation.parse("(1 2)", 3)]) != s3
     assert s3 != s3.elements()
+    # D8 inside S4 from a walk's stabilizer, by generation, by the checked
+    # constructor and through pickle: one group, equal and hashing alike
+    walked = PermGroup._of_words(4, _kernel.orbit(dihedral(4).flat(), 4)[2])
+    d8 = [
+        walked,
+        PermGroup.generate([Permutation.parse("(1 2 3 4)", 4), Permutation.parse("(1 3)", 4)]),
+        PermGroup(4, reversed(walked.elements())),
+        pickle.loads(pickle.dumps(walked)),
+    ]
+    assert all(g == walked for g in d8) and len({hash(g) for g in d8}) == 1
+    assert identify_group(walked).label == "D8"
+    elements = walked.elements()
+    assert len(elements) == 8 and all(a < b for a, b in zip(elements, elements[1:]))
+    # membership is a binary search over the ascending elements; a subgroup
+    # whose greatest element is not S4's has members of S4 searched past it
+    z2 = PermGroup.generate([Permutation.parse("(1 2)", 4)])
+    for g in (walked, z2):
+        assert [p for p in all_permutations(4) if p in g] == list(g.elements())
+    for stranger in (Permutation.identity(3), Permutation.identity(5), b"\x01\x02\x03\x04", (1, 2, 3, 4)):
+        assert stranger not in walked
 
 
 def test_group_invariants():
@@ -174,7 +194,7 @@ def test_stabilizer_group_makes_permutations_only_on_request(monkeypatch):
     # the walk's stabilizer bytes are held as they are; labels, generators'
     # bytes and orbits need no Permutation object
     stabilizer = _kernel.orbit(trivial(4).flat(), 4)[2]
-    g = stabilizer_group(4, stabilizer)
+    g = PermGroup._of_words(4, stabilizer)
 
     def refuse(images):
         raise AssertionError("Permutation made")

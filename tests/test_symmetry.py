@@ -19,7 +19,7 @@ from quandles import (
 )
 from quandles import _kernel
 from quandles.permutation import PermGroup, Permutation, all_permutations, orbit_partition
-from quandles.symmetry import _LABELS, _fingerprint, stabilizer_group
+from quandles.symmetry import _LABELS, _fingerprint
 
 import tables
 from reference import least_witness, named_groups, np_count_explicit
@@ -200,7 +200,7 @@ def _assert_invariants_by_brute_force(g: PermGroup):
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_group_invariants_match_brute_force(backend, report_for, request, monkeypatch):
     # every Aut group of orders <= 6 (73 of them at order 6), built from each
-    # backend's stabilizer list, then the named groups and S_1..S_6; each
+    # backend's stabilizer, then the named groups and S_1..S_6; each
     # backend's group_invariants agrees with the pure one, in any element order
     if backend == "c":
         request.getfixturevalue("compiled")
@@ -210,7 +210,7 @@ def test_group_invariants_match_brute_force(backend, report_for, request, monkey
     groups = []
     for n in range(1, 7):
         for rec in report_for(n).classes:
-            aut = stabilizer_group(n, _kernel.orbit(rec.representative.flat(), n)[2])
+            aut = PermGroup._of_words(n, _kernel.orbit(rec.representative.flat(), n)[2])
             assert aut.order == rec.aut_order
             groups.append(aut)
     groups += [group for _, group in named_groups()]
@@ -225,14 +225,14 @@ def test_group_invariants_match_brute_force(backend, report_for, request, monkey
 @pytest.mark.parametrize("n", range(1, 8))
 def test_group_labels_agree_across_backends(n, compiled, report_for, monkeypatch):
     # GroupId and the generator and orbit data of every class's Aut, from the
-    # compiled stabilizer lists; order 7 takes seconds on the pure walk, so
-    # the lists come from the compiled one and only the invariants switch
+    # compiled stabilizers; order 7 takes seconds on the pure walk, so
+    # the stabilizers come from the compiled one and only the invariants switch
     for rec in (report_for(n) if n < 7 else enumerate_classes(7)).classes:
         stabilizer = _kernel.orbit(rec.representative.flat(), n)[2]
         seen = []
         for speedups in (None, compiled):  # the compiled kernel last, for the next walk
             monkeypatch.setattr(_kernel, "_speedups", speedups)
-            aut = stabilizer_group(n, stabilizer)
+            aut = PermGroup._of_words(n, stabilizer)
             seen.append((identify_group(aut), aut.order, aut.generators(), aut.orbits()))
         assert seen[0] == seen[1]
         assert seen[0][0] == rec.aut_id
