@@ -1,12 +1,12 @@
 """Hot-loop kernels with backend selection.
 
-Three kernels dominate runtime: the column scan, the relabelling walk and
-the one-pass invariants of a permutation group, which label every Aut.
-Each exists twice: compiled (quandles._speedups, hand-written C in
-_speedups.c) and pure Python.  The compiled module is picked at import
-when present; set QUANDLES_PURE_PYTHON=1 to force the fallback.  Both
-backends are required to return byte-identical results, including the
-placement counts used for resource capping.
+Four kernels dominate runtime: the column scan, the relabelling walk, the
+isomorphism search and the one-pass invariants of a permutation group,
+which label every Aut.  Each exists twice: compiled (quandles._speedups,
+hand-written C in _speedups.c) and pure Python.  The compiled module is
+picked at import when present; set QUANDLES_PURE_PYTHON=1 to force the
+fallback.  Both backends are required to return byte-identical results,
+including the placement counts used for resource capping.
 
 Two more compiled kernels take in a single table: `parse` reads the plain
 text format and `verify` checks the three table conditions.  Their pure
@@ -16,6 +16,12 @@ backend here swaps them too.  The compiled parse declines, with None, all
 text but the plain format, and the pure parser then reads it.  Every kernel
 reads a table as its row-major 1-based bytes, the form in which a
 QuandleMatrix holds it up to order 255, so no table is converted on its way in.
+
+The isomorphism search walks neither table: it assigns images point by
+point, closes each choice under the table equations as the scan closes
+columns, and returns the first complete relabelling, the least.  So
+are_isomorphic needs no walk, and the walk serves canon, Aut, np and
+classification.
 
 The compiled walk is one loop for every keep mode: it abandons an image
 once it is greater than the least so far and is not the table itself.
@@ -43,6 +49,7 @@ import itertools
 import operator
 import os
 from collections import Counter
+from collections.abc import Sequence
 from math import factorial, lcm
 
 MAX_ORDER = 10  # entries are single bytes and the scan state is fixed-size
@@ -211,6 +218,7 @@ KEEP_NONE, KEEP_COLUMN0, KEEP_ALL = 0, 1, 2
 Walk = tuple[bytes, bytes, tuple[bytes, ...], list[bytes]]
 
 _ONE_BASED = bytes(range(1, 256)) + b"\0"  # translate table adding 1 to every entry
+_ZERO_BASED = b"\xff" + bytes(range(255))  # and the one taking 1 from every entry
 _IDENTITY = bytes(range(256))  # translate table leaving every entry as it is
 
 
@@ -240,8 +248,8 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     Raises ValueError unless 1 <= n <= MAX_ORDER, len(flat) == n*n, every
     entry lies in 1..n and `keep` is one of the three.
 
-    The last KEEP_NONE walk of a bytes table is remembered, so canon, Aut,
-    np and iso queries on one table share one walk, and its immutable
+    The last KEEP_NONE walk of a bytes table is remembered, so canon, Aut
+    and np queries on one table share one walk, and its immutable
     stabilizer tuple; each call still gets its own image list.  Walks that
     keep images are never remembered.
     """
@@ -373,17 +381,112 @@ def canon_min(flat: bytes, n: int) -> bytes:
     return orbit(flat, n)[0]
 
 
+def isomorphism(a: bytes, b: bytes, n: int) -> bytes | None:
+    """The least relabelling rho, as 1-based image bytes, that sends table a to table b, or None.
+
+    rho sends a to b when rho(a[i][j]) = b[rho(i)][rho(j)] for every pair,
+    the action of `orbit`; a and b are row-major 1-based bytes, checked or
+    not.  A depth-first search branches on the least point x of a not yet
+    assigned and tries each unused image y in ascending order.  After each
+    choice it extends rho to a fixpoint: every pair (i, j) of assigned
+    points forces rho(a[i][j]) = b[rho(i)][rho(j)], and the search backtracks
+    on a clash, an image that differs from one already assigned or is
+    taken.  Each level fixes every point below x, so the first complete rho
+    is the least witness, and no n!-sized walk is made.  A point is only
+    ever sent to one with the same key: the fixed points and distinct
+    values of its column and of its row, which every relabelling keeps,
+    whatever the table.  Keys that differ as multisets answer None at once.
+    Raises ValueError unless 1 <= n <= MAX_ORDER (checked first, so a table
+    past order 255 held as ints is never read), and then unless a, then b,
+    has n*n entries, all in 1..n.
+    """
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
+    if _speedups is not None:
+        return _speedups.isomorphism(a, b, n)
+    return _isomorphism_pure(a, b, n)
+
+
+def _point_keys(t: bytes, n: int) -> list[tuple[int, int, int, int]]:
+    """Per point of a 0-based table: the fixed points and distinct values of its column and its row."""
+    keys = []
+    for x in range(n):
+        col, row = t[x::n], t[x * n : x * n + n]
+        keys.append((sum(c == i for i, c in enumerate(col)), sum(r == j for j, r in enumerate(row)),
+                     len(set(col)), len(set(row))))
+    return keys
+
+
+def _isomorphism_pure(a: bytes, b: bytes, n: int) -> bytes | None:
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError("order out of range")
+    for t in (a, b):
+        if len(t) != n * n:
+            raise ValueError("flat length does not match order")
+        for x in t:
+            if not 1 <= x <= n:
+                raise ValueError(f"entry {x} outside 1..{n}")
+    a, b = bytes(a).translate(_ZERO_BASED), bytes(b).translate(_ZERO_BASED)
+    key_a, key_b = _point_keys(a, n), _point_keys(b, n)
+    if sorted(key_a) != sorted(key_b):
+        return None
+    rho = [-1] * n  # rho[x] is x's image, inv[y] y's preimage, or -1
+    inv = [-1] * n
+    trail: list[int] = []  # points in the order they were assigned
+
+    def force(i, j):
+        p, v = a[i * n + j], b[rho[i] * n + rho[j]]
+        if rho[p] >= 0:
+            return rho[p] == v
+        if inv[v] >= 0 or key_a[p] != key_b[v]:
+            return False
+        rho[p], inv[v] = v, p
+        trail.append(p)
+        return True
+
+    def propagate(start):
+        # pair each newly assigned point with every point assigned up to it, as the scan does
+        q = start
+        while q < len(trail):
+            i = trail[q]
+            for j in trail[: q + 1]:
+                if not force(i, j) or (i != j and not force(j, i)):
+                    return False
+            q += 1
+        return True
+
+    def search():
+        mark = len(trail)
+        if mark == n:
+            return True
+        x = rho.index(-1)
+        for y in range(n):
+            if inv[y] < 0 and key_b[y] == key_a[x]:
+                rho[x], inv[y] = y, x
+                trail.append(x)
+                if propagate(mark) and search():
+                    return True
+                while len(trail) > mark:
+                    p = trail.pop()
+                    inv[rho[p]] = -1
+                    rho[p] = -1
+        return False
+
+    return bytes(rho).translate(_ONE_BASED) if search() else None
+
+
 MAX_DEGREE = 255  # a permutation's image array is one byte per point
 
 # (element-order histogram, strong generating set, center order)
 Invariants = tuple[tuple[tuple[int, int], ...], tuple[bytes, ...], int]
 
 
-def group_invariants(blob: bytes, n: int) -> Invariants:
+def group_invariants(words: Sequence[bytes], n: int) -> Invariants:
     """The invariants of a permutation group from one pass over its elements.
 
-    `blob` is the concatenation of every element's 1-based image bytes, in
-    any order; n is the degree, 1..MAX_DEGREE.  Each element's order is the
+    `words` holds every element's 1-based image bytes, in any order, and is
+    read where it is: a group's tuple of elements is not copied or joined.
+    n is the degree, 1..MAX_DEGREE.  Each element's order is the
     lcm of its cycle lengths.  Per pair (least moved point i, image j of i)
     the least element with that pair is kept: an element whose least moved
     point is i fixes 1..i-1, so these are the coset representatives of the
@@ -391,25 +494,30 @@ def group_invariants(blob: bytes, n: int) -> Invariants:
     1970), least image bytes first; with every element at hand no
     Schreier–Sims closure is needed.  The center is the elements that
     commute with those generators.  Closure is not checked.  Raises
-    ValueError unless 1 <= n <= MAX_DEGREE, the blob is a nonempty whole
-    number of elements, every entry lies in 1..n (the first that does not,
-    in blob order, is named) and each element is a permutation: a cycle of
-    the walk that does not close on its start shows a repeated image.
+    ValueError unless 1 <= n <= MAX_DEGREE, there is an element, each is n
+    bytes, every entry lies in 1..n and each element is a permutation: a
+    cycle of the walk that does not close on its start shows a repeated
+    image.  Each check runs over all elements before the next, and names the
+    first that fails it.
     """
     if _speedups is not None:
-        return _speedups.group_invariants(blob, n)
-    return _group_invariants_pure(blob, n)
+        return _speedups.group_invariants(words, n)
+    return _group_invariants_pure(words, n)
 
 
-def _group_invariants_pure(blob: bytes, n: int) -> Invariants:
+def _group_invariants_pure(words: Sequence[bytes], n: int) -> Invariants:
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
-    if not blob or len(blob) % n:
-        raise ValueError(f"blob length {len(blob)} is not a positive multiple of {n}")
-    stray = blob.translate(None, bytes(range(1, n + 1)))
-    if stray:
-        raise ValueError(f"entry {stray[0]} outside 1..{n}")
-    words = [blob[k : k + n] for k in range(0, len(blob), n)]
+    if not words:
+        raise ValueError("no elements")
+    for k, p in enumerate(words):
+        if not isinstance(p, bytes) or len(p) != n:
+            raise ValueError(f"element {k} is not {n} bytes")
+    points = bytes(range(1, n + 1))
+    for p in words:
+        stray = p.translate(None, points)
+        if stray:
+            raise ValueError(f"entry {stray[0]} outside 1..{n}")
     counts: Counter = Counter()
     reps: dict[tuple[int, int], bytes] = {}
     rng = range(n)

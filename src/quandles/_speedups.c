@@ -1,11 +1,11 @@
 /* Compiled kernels for quandles._kernel: the column scan, the relabelling
-   walk, the one-pass invariants of a permutation group, and the table
-   intake, which parses the plain text format and checks the three table
-   conditions.  The walk is one loop, the same for every keep mode; a walk
-   that keeps images adds one coset pass, which builds each kept image once
-   and sorts them.
+   walk, the isomorphism search, the one-pass invariants of a permutation
+   group, and the table intake, which parses the plain text format and
+   checks the three table conditions.  The walk is one loop, the same for
+   every keep mode; a walk that keeps images adds one coset pass, which
+   builds each kept image once and sorts them.
 
-   All five must stay observably identical to the pure-Python versions
+   All six must stay observably identical to the pure-Python versions
    (quandles._kernel, and quandles.matrix for the intake): same output
    bytes, same order, same placement counts and witnesses, and the same
    ValueError on malformed input; the parse instead declines, with None,
@@ -421,39 +421,209 @@ fail:
     return NULL;
 }
 
+PyDoc_STRVAR(isomorphism_doc,
+"isomorphism(a, b, n) -> bytes or None\n\n"
+"Mirror of quandles._kernel._isomorphism_pure: the least relabelling rho, as\n"
+"1-based image bytes, with rho(a[i][j]) = b[rho(i)][rho(j)] for every pair,\n"
+"or None, from one depth-first search that closes each choice to a fixpoint.");
+
+/* Search state of one isomorphism call.  a and b are 0-based; rho[x] is x's
+   image or -1, inv[y] its preimage or -1; trail lists the assigned points in
+   the order they were assigned. */
+struct iso {
+    int n, len;
+    unsigned char a[MAX_ORDER * MAX_ORDER], b[MAX_ORDER * MAX_ORDER];
+    unsigned int key_a[MAX_ORDER], key_b[MAX_ORDER];
+    int rho[MAX_ORDER], inv[MAX_ORDER], trail[MAX_ORDER];
+};
+
+/* Each point's fixed points and distinct values in its column and its row.
+   rho carries column x of a to column rho(x) of b entry by entry, relabelled,
+   so all four counts are kept by any relabelling, whatever the table. */
+static void
+point_keys(const unsigned char *t, int n, unsigned int *key)
+{
+    for (int x = 0; x < n; x++) {
+        unsigned char in_col[MAX_ORDER] = {0}, in_row[MAX_ORDER] = {0};
+        unsigned int col_fixed = 0, row_fixed = 0, col_values = 0, row_values = 0;
+        for (int i = 0; i < n; i++) {
+            const int c = t[i * n + x], r = t[x * n + i];
+            col_fixed += c == i;
+            row_fixed += r == i;
+            col_values += !in_col[c];
+            row_values += !in_row[r];
+            in_col[c] = in_row[r] = 1;
+        }
+        key[x] = ((col_fixed * 16 + row_fixed) * 16 + col_values) * 16 + row_values;
+    }
+}
+
+/* Force rho(a[i][j]) = b[rho i][rho j] if that point is unassigned, else
+   check it; 0 on a clash: a different image, an image already used, or one
+   whose key differs. */
+static int
+iso_force(struct iso *s, int i, int j)
+{
+    const int n = s->n, p = s->a[i * n + j], v = s->b[s->rho[i] * n + s->rho[j]];
+    if (s->rho[p] >= 0)
+        return s->rho[p] == v;
+    if (s->inv[v] >= 0 || s->key_a[p] != s->key_b[v])
+        return 0;
+    s->rho[p] = v;
+    s->inv[v] = p;
+    s->trail[s->len++] = p;
+    return 1;
+}
+
+/* Pair each point assigned from trail[start] on with every point assigned up
+   to it, in both orders, until no new point is assigned; as closure_propagate. */
+static int
+iso_propagate(struct iso *s, int start)
+{
+    for (int q = start; q < s->len; q++) {
+        const int i = s->trail[q];
+        for (int k = 0; k <= q; k++) {
+            const int j = s->trail[k];
+            if (!iso_force(s, i, j) || (i != j && !iso_force(s, j, i)))
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* 1 once every point is assigned, else 0 with the state as it came.  Each
+   level assigns at least one point, so the recursion is at most n deep. */
+static int
+iso_search(struct iso *s)
+{
+    const int n = s->n, mark = s->len;
+    if (mark == n)
+        return 1;
+    int x = 0;
+    while (s->rho[x] >= 0)
+        x++;
+    for (int y = 0; y < n; y++) {
+        if (s->inv[y] >= 0 || s->key_b[y] != s->key_a[x])
+            continue;
+        s->rho[x] = y;
+        s->inv[y] = x;
+        s->trail[s->len++] = x;
+        if (iso_propagate(s, mark) && iso_search(s))
+            return 1;
+        while (s->len > mark) {
+            const int p = s->trail[--s->len];
+            s->inv[s->rho[p]] = -1;
+            s->rho[p] = -1;
+        }
+    }
+    return 0;
+}
+
+static PyObject *
+isomorphism(PyObject *self, PyObject *args)
+{
+    Py_buffer views[2];
+    int n;
+    struct iso s;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*y*i", &views[0], &views[1], &n))
+        return NULL;
+    if (n < 1 || n > MAX_ORDER) {
+        PyErr_SetString(PyExc_ValueError, "order out of range");
+        goto done;
+    }
+    const int nn = n * n;
+    for (int t = 0; t < 2; t++) {
+        const unsigned char *src = (const unsigned char *)views[t].buf;
+        unsigned char *dst = t ? s.b : s.a;
+        if (views[t].len != nn) {
+            PyErr_SetString(PyExc_ValueError, "flat length does not match order");
+            goto done;
+        }
+        for (int k = 0; k < nn; k++) {
+            if (src[k] < 1 || src[k] > n) {
+                PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", src[k], n);
+                goto done;
+            }
+            dst[k] = src[k] - 1;
+        }
+    }
+    s.n = n;
+    s.len = 0;
+    point_keys(s.a, n, s.key_a);
+    point_keys(s.b, n, s.key_b);
+    /* the keys of a and b as multisets first: they differ unless some rho
+       exists, and they are equal when each key of a is as frequent in b */
+    int found = 1;
+    for (int x = 0; x < n && found; x++) {
+        int surplus = 0;
+        for (int y = 0; y < n; y++)
+            surplus += (s.key_a[y] == s.key_a[x]) - (s.key_b[y] == s.key_a[x]);
+        found = surplus == 0;
+    }
+    memset(s.rho, -1, sizeof s.rho);
+    memset(s.inv, -1, sizeof s.inv);
+    if (!found || !iso_search(&s)) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    unsigned char word[MAX_ORDER];
+    for (int x = 0; x < n; x++)
+        word[x] = (unsigned char)(s.rho[x] + 1);
+    result = PyBytes_FromStringAndSize((const char *)word, n);
+done:
+    PyBuffer_Release(&views[0]);
+    PyBuffer_Release(&views[1]);
+    return result;
+}
+
 PyDoc_STRVAR(group_invariants_doc,
-"group_invariants(blob, n) -> (histogram, strong, center)\n\n"
+"group_invariants(words, n) -> (histogram, strong, center)\n\n"
 "Mirror of quandles._kernel._group_invariants_pure: one pass over the\n"
-"elements of a permutation group of degree n <= 255, concatenated as 1-based\n"
-"image bytes, gives the element-order histogram, the strong generating set\n"
-"of least coset representatives as bytes, least first, and the center order.");
+"elements of a permutation group of degree n <= 255, a sequence of 1-based\n"
+"image bytes read where they are, gives the element-order histogram, the\n"
+"strong generating set of least coset representatives as bytes, least first,\n"
+"and the center order.");
 
 static PyObject *
 group_invariants(PyObject *self, PyObject *args)
 {
-    Py_buffer view;
+    PyObject *arg, *seq = NULL, **words = NULL;
     int n;
-    if (!PyArg_ParseTuple(args, "y*i", &view, &n))
+    if (!PyArg_ParseTuple(args, "Oi", &arg, &n))
         return NULL;
-    const unsigned char *blob = (const unsigned char *)view.buf;
     PyObject *result = NULL, *hist = NULL, *strong = NULL;
     /* rep[i * n + j]: 1 + the least element whose least moved point i goes to j, or 0 */
     Py_ssize_t *rep = NULL, m = 0, k, n_bins = 0, n_strong = 0, center = 0;
     struct { unsigned long long order; Py_ssize_t count; } *bins = NULL; /* by order */
+#define WORD(k) ((const unsigned char *)PyBytes_AS_STRING(words[k]))
     if (n < 1 || n > 255) {
         PyErr_SetString(PyExc_ValueError, "degree must be in 1..255");
         goto done;
     }
-    if (view.len == 0 || view.len % n) {
-        PyErr_Format(PyExc_ValueError, "blob length %zd is not a positive multiple of %d", view.len, n);
+    /* a tuple, as PermGroup holds its elements, is read as it is, not copied */
+    if ((seq = PySequence_Fast(arg, "words must be a sequence")) == NULL)
+        goto done;
+    m = PySequence_Fast_GET_SIZE(seq);
+    words = PySequence_Fast_ITEMS(seq);
+    if (m == 0) {
+        PyErr_SetString(PyExc_ValueError, "no elements");
         goto done;
     }
-    for (k = 0; k < view.len; k++)
-        if (blob[k] < 1 || blob[k] > n) {
-            PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", blob[k], n);
+    for (k = 0; k < m; k++)
+        if (!PyBytes_Check(words[k]) || PyBytes_GET_SIZE(words[k]) != n) {
+            PyErr_Format(PyExc_ValueError, "element %zd is not %d bytes", k, n);
             goto done;
         }
-    m = view.len / n;
+    for (k = 0; k < m; k++) {
+        const unsigned char *p = WORD(k);
+        for (int x = 0; x < n; x++)
+            if (p[x] < 1 || p[x] > n) {
+                PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", p[x], n);
+                goto done;
+            }
+    }
     rep = PyMem_Calloc(n * n, sizeof *rep);
     bins = PyMem_Malloc(m * sizeof *bins);
     if (rep == NULL || bins == NULL) {
@@ -461,7 +631,7 @@ group_invariants(PyObject *self, PyObject *args)
         goto done;
     }
     for (k = 0; k < m; k++) {
-        const unsigned char *p = blob + k * n;
+        const unsigned char *p = WORD(k);
         unsigned char seen[255];
         memset(seen, 0, n);
         unsigned long long order = 1; /* Landau's g(255) < 2**52 */
@@ -495,7 +665,7 @@ group_invariants(PyObject *self, PyObject *args)
             bins[b].count = 0;
         }
         bins[b].count++;
-        if (key >= 0 && (!rep[key] || memcmp(p, blob + (rep[key] - 1) * n, n) < 0)) {
+        if (key >= 0 && (!rep[key] || memcmp(p, WORD(rep[key] - 1), n) < 0)) {
             n_strong += !rep[key];
             rep[key] = k + 1;
         }
@@ -515,15 +685,11 @@ group_invariants(PyObject *self, PyObject *args)
     k = 0;
     for (int i = n - 1; i >= 0; i--)
         for (int j = i + 1; j < n; j++)
-            if (rep[i * n + j]) {
-                PyObject *w = PyBytes_FromStringAndSize((const char *)blob + (rep[i * n + j] - 1) * n, n);
-                if (w == NULL)
-                    goto done;
-                PyTuple_SET_ITEM(strong, k++, w);
-            }
+            if (rep[i * n + j])
+                PyTuple_SET_ITEM(strong, k++, Py_NewRef(words[rep[i * n + j] - 1]));
     /* z commutes with g iff z(g(x)) == g(z(x)) for every x */
     for (k = 0; k < m; k++) {
-        const unsigned char *z = blob + k * n;
+        const unsigned char *z = WORD(k);
         int central = 1;
         for (Py_ssize_t g = 0; g < n_strong && central; g++) {
             const unsigned char *q = (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(strong, g));
@@ -533,12 +699,13 @@ group_invariants(PyObject *self, PyObject *args)
         center += central;
     }
     result = Py_BuildValue("(OOn)", hist, strong, center);
+#undef WORD
 done:
+    Py_XDECREF(seq);
     Py_XDECREF(hist);
     Py_XDECREF(strong);
     PyMem_Free(rep);
     PyMem_Free(bins);
-    PyBuffer_Release(&view);
     return result;
 }
 
@@ -655,6 +822,7 @@ decline:
 static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS, scan_doc},
     {"orbit", orbit, METH_VARARGS, orbit_doc},
+    {"isomorphism", isomorphism, METH_VARARGS, isomorphism_doc},
     {"group_invariants", group_invariants, METH_VARARGS, group_invariants_doc},
     {"verify", verify, METH_VARARGS, verify_doc},
     {"parse", parse, METH_O, parse_doc},
@@ -665,7 +833,8 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "quandles._speedups",
     .m_doc = "Compiled kernels for quandles._kernel: the column scan, the relabelling walk,\n"
-             "the one-pass invariants of a permutation group, and the table parse and check.",
+             "the isomorphism search, the one-pass invariants of a permutation group, and\n"
+             "the table parse and check.",
     .m_size = -1,
     .m_methods = methods,
 };

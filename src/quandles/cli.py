@@ -60,8 +60,9 @@ class _Invalid(Exception):
 def _load(path: str, *, walked: bool = False) -> QuandleMatrix:
     """Parse, verify, and standardize one matrix argument.
 
-    A table for the relabelling walk (`walked`), which takes orders
-    1..MAX_ORDER only, is rejected past that before it is verified.
+    A table for the relabelling walk or the isomorphism search (`walked`),
+    which take orders 1..MAX_ORDER only, is rejected past that before it is
+    verified.
     """
     try:
         m = parse_matrix(_read_text(path))

@@ -227,7 +227,7 @@ class PermGroup:
         words = words or (bytes(range(1, degree + 1)),)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_invariants", _kernel.group_invariants(b"".join(words), degree))
+        object.__setattr__(self, "_invariants", _kernel.group_invariants(words, degree))
 
     @classmethod
     def _of_words(cls, degree: int, words: tuple[bytes, ...]) -> PermGroup:

@@ -31,24 +31,15 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
     """A witness rho with permute(a, rho) == b, or None.
 
     When several witnesses exist the one with lexicographically least image
-    array is returned, so the output is reproducible.  One walk over each
-    table's relabellings gives its least image L and a witness: w_a sends a
-    to L and w_b sends b to L.  The witnesses are then the coset
-    w_b^-1 w_a Aut(a), whose least member is taken.
+    array is returned, so the output is reproducible.  It comes from one
+    depth-first search over partial relabellings, `_kernel.isomorphism`:
+    each choice of an image is extended by the table equations to every
+    point they force, so neither table's n! relabellings are walked.
     """
     if a.n != b.n:
         return None
-    n = a.n
-    least_a, w_a, aut_a, _ = _kernel.orbit(a._entries, n)
-    least_b, w_b, _, _ = _kernel.orbit(b._entries, n)
-    if least_a != least_b:
-        return None
-    # (w_b^-1 w_a s)(x) = w_b^-1(w_a(s(x))): s's image bytes translated through w_b^-1 w_a
-    values = bytearray(range(256))
-    for x, y in enumerate(w_b, 1):
-        values[y] = x
-    values[1 : n + 1] = w_a.translate(values)
-    return Permutation._unchecked(tuple(min(s.translate(values) for s in aut_a)))
+    witness = _kernel.isomorphism(a._entries, b._entries, a.n)
+    return None if witness is None else Permutation._unchecked(tuple(witness))
 
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:

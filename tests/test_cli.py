@@ -305,24 +305,10 @@ def test_enumerate_order10_default_cap_stops_when_the_budget_is_spent(kernel, re
     assert max_rss_kib < 150 * 1024
 
 
-ORDER10_AUT8 = [
-    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-    [2, 2, 2, 2, 2, 2, 3, 2, 3, 3],
-    [3, 3, 3, 3, 3, 3, 2, 3, 2, 2],
-    [4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
-    [5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
-    [6, 6, 6, 8, 6, 6, 6, 6, 6, 6],
-    [7, 7, 7, 7, 7, 7, 7, 7, 7, 7],
-    [8, 8, 8, 6, 8, 8, 8, 8, 8, 8],
-    [10, 9, 9, 9, 9, 9, 9, 9, 9, 9],
-    [9, 10, 10, 10, 10, 10, 10, 10, 10, 10],
-]
-
-
 def test_props_order10_walks_without_holding_the_orbit(compiled, tmp_path):
     # canon, Aut and np each walk the 10! relabellings of a table whose class has
     # 453,600 members; none of them keeps an image, so memory stays flat
-    path = _write(tmp_path, "m.txt", ORDER10_AUT8)
+    path = _write(tmp_path, "m.txt", tables.ORDER10_AUT8)
     code, lines, _, max_rss_kib = _run_peak_rss(compiled.__file__, ["props", path])
     assert code == 0
     assert {"aut_order: 8", "aut_label: unidentified", "np: 453600"} <= set(lines)

@@ -13,6 +13,7 @@ import pytest
 from reference import columns, orbit_by_relabelling
 
 from quandles import (
+    PermGroup,
     Permutation,
     QuandleMatrix,
     _kernel,
@@ -29,6 +30,8 @@ from quandles import (
     trivial,
 )
 from quandles.cli import main
+
+import tables
 
 
 def _pure_scan(n, cap=_kernel.DEFAULT_CAP):
@@ -306,7 +309,7 @@ def walks(request, monkeypatch):
             return compiled.orbit(flat, n, keep)
 
         counted = types.ModuleType("counted")  # the compiled kernel, its walks counted
-        for name in ("scan", "group_invariants", "verify", "parse"):
+        for name in ("scan", "isomorphism", "group_invariants", "verify", "parse"):
             setattr(counted, name, getattr(compiled, name))
         counted.orbit = orbit
         monkeypatch.setattr(_kernel, "_speedups", counted)
@@ -343,18 +346,20 @@ def test_single_table_queries_share_one_walk_per_table(walks):
     walks.clear()
     perms = [Permutation(rng.sample(range(1, 7), 6)) for _ in range(3)]
     a, b, c = permute(reps[40], perms[0]), permute(reps[40], perms[1]), permute(reps[7], perms[2])
-    # canon, Aut and np of a, and iso of a with b: one walk of a and one of b
+    # canon, Aut and np of a, and iso of a with b: one walk, of a; iso walks neither table
     answers = _queries(a, b)
-    assert walks == [_kernel.KEEP_NONE] * 2
+    assert walks == [_kernel.KEEP_NONE]
     assert answers == _fresh_queries(a, b) and answers[3] is not None
-    # a, then c, then a again: each switch walks again, and the answers are unchanged
-    walks.clear()
-    assert _queries(c, a) == _fresh_queries(c, a)
-    walks.clear()
-    assert _queries(a, c) == _fresh_queries(a, c)
-    walks.clear()
-    assert _queries(a, b) == answers
-    assert len(walks) == 2
+    # from an empty memo a, then c, then a twice: each switch walks again, and
+    # the answers are unchanged
+    pairs = [(a, b), (c, a), (a, c), (a, b)]
+    expected = [_fresh_queries(x, y) for x, y in pairs]
+    made = []
+    for (x, y), answer in zip(pairs, expected):
+        walks.clear()
+        assert _queries(x, y) == answer
+        made.append(len(walks))
+    assert made == [1, 1, 1, 0]
 
 
 def test_props_makes_one_walk(walks, capsys, tmp_path):
@@ -386,8 +391,9 @@ def test_remembered_walk_hands_out_copies(walks):
 
 
 def test_aut_is_held_once(walks):
-    # Aut, its label, np and iso all read the remembered walk's stabilizer
-    # as it is: a second copy of S8's 8! automorphisms would hold 2 MiB
+    # Aut, its label and np all read the remembered walk's stabilizer as it
+    # is, and iso reads no walk: a second copy of S8's 8! automorphisms would
+    # hold 2 MiB
     m = trivial(8)
     stabilizer = _kernel.orbit(m.flat(), 8)[2]
     tracemalloc.start()
@@ -401,6 +407,24 @@ def test_aut_is_held_once(walks):
     assert answers == ("unidentified", 1, Permutation.identity(8))
     assert held <= 64 * 2**10
     assert len(walks) == 1
+
+
+def test_isomorphism_makes_no_walk(walks):
+    # order-10 pairs, where one walk is 10! relabellings: the least witness,
+    # or None, from the search alone on both backends
+    rng = random.Random(10)
+    aut8 = QuandleMatrix(tables.ORDER10_AUT8)
+    rho = Permutation(rng.sample(range(1, 11), 10))
+    relabelled = permute(aut8, rho)
+    assert are_isomorphic(trivial(10), trivial(10)) == Permutation.identity(10)
+    witness = are_isomorphic(aut8, relabelled)
+    assert permute(aut8, witness) == relabelled
+    # the witnesses are rho∘Aut, and these 8 automorphisms are all of Aut: np is 10!/8
+    aut = PermGroup.generate([Permutation.parse(c, 10) for c in ("(2 3)", "(6 8)", "(9 10)")])
+    assert aut.order == 8 and all(permute(aut8, g) == aut8 for g in aut)
+    assert witness == min((rho.compose(g) for g in aut), key=lambda w: w.images)
+    assert are_isomorphic(aut8, permute(dihedral(10), rho)) is None
+    assert walks == []
 
 
 def test_remembered_walk_is_safe_across_threads(fastest_kernel):
@@ -473,6 +497,32 @@ def test_orbit_rejects_unknown_keep(orbit_backend):
 
 
 @pytest.fixture(params=["python", "c"])
+def iso_backend(request):
+    if request.param == "python":
+        return _kernel._isomorphism_pure
+    return request.getfixturevalue("compiled").isomorphism
+
+
+@pytest.mark.parametrize(
+    "a, b, n, message",
+    [
+        # a is checked, length then entries, before b
+        (b"\x00\x01\x02\x02", b"\x01", 2, "entry 0 outside 1..2"),
+        (b"\x01\x01\x02\x02", b"\x01\x01\x02\x09", 2, "entry 9 outside 1..2"),
+        (b"\x01\x01", b"\x00", 2, "flat length does not match order"),
+        (b"\x01\x01\x02\x02", b"\x01\x01", 2, "flat length does not match order"),
+        (b"", b"", 0, "order out of range"),
+        (b"\x01" * 121, b"\x01" * 121, 11, "order out of range"),
+        (b"", b"", 1 << 20, "order out of range"),  # an order whose square overflows an int
+    ],
+)
+def test_isomorphism_rejects_malformed_tables(iso_backend, a, b, n, message):
+    with pytest.raises(ValueError) as exc:
+        iso_backend(a, b, n)
+    assert str(exc.value) == message
+
+
+@pytest.fixture(params=["python", "c"])
 def invariants_backend(request):
     if request.param == "python":
         return _kernel._group_invariants_pure
@@ -482,25 +532,29 @@ def invariants_backend(request):
 @pytest.mark.parametrize(
     "blob, n, message",
     [
-        (b"", 3, "blob length 0 is not a positive multiple of 3"),
-        (b"\x01\x02\x03\x01", 3, "blob length 4 is not a positive multiple of 3"),
+        (b"", 3, "no elements"),
+        (b"\x01\x02\x03\x01", 3, "element 1 is not 3 bytes"),
         (b"\x01", 0, "degree must be in 1..255"),
         (bytes(range(256)), 256, "degree must be in 1..255"),
         (b"\x01\x02\x03\x02\x02\x03", 3, "element 1 is not a permutation of 1..3"),
         (b"\x02\x03\x03", 3, "element 0 is not a permutation of 1..3"),
-        # range is checked over the whole blob first, in blob order
+        # range is checked over every element first, in order
         (b"\x01\x01\x03\x02\x00\x03", 3, "entry 0 outside 1..3"),
         (b"\x01\x02\x04", 3, "entry 4 outside 1..3"),
     ],
 )
 def test_group_invariants_rejects_malformed_input(invariants_backend, blob, n, message):
+    # the elements are the blob's n-byte slices, the last one shorter if n does not divide it
+    words = tuple(blob[k : k + n] for k in range(0, len(blob), max(n, 1)))
     with pytest.raises(ValueError) as exc:
-        invariants_backend(blob, n)
+        invariants_backend(words, n)
     assert str(exc.value) == message
 
 
 def test_group_invariants_backends_agree_on_random_blobs(compiled):
-    # the same result or the same ValueError text, whichever element or entry fails first
+    # the same result or the same ValueError text, whichever element or entry
+    # fails first, for a tuple or a list of words, some of them bad entries,
+    # lengths or types
     rng = random.Random(11)
     for _ in range(2000):
         n = rng.randint(1, 6)
@@ -508,11 +562,15 @@ def test_group_invariants_backends_agree_on_random_blobs(compiled):
         for word in words:
             if rng.random() < 0.2:
                 word[rng.randrange(n)] = rng.choice([0, n + 1, rng.randint(1, n)])
-        blob = bytes(x for word in words for x in word)
+        words = [bytes(word) for word in words]
+        if rng.random() < 0.1:
+            k = rng.randrange(len(words))
+            words[k] = rng.choice([words[k][1:], words[k] + b"\x01", bytearray(words[k]), list(words[k])])
+        words = rng.choice([tuple, list])(words)
         outcomes = []
         for kernel in (compiled.group_invariants, _kernel._group_invariants_pure):
             try:
-                outcomes.append(kernel(blob, n))
+                outcomes.append(kernel(words, n))
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -522,16 +580,16 @@ def test_group_invariants_of_small_groups(invariants_backend):
     # S3 in any element order: (histogram, least coset representatives, center)
     s3 = [bytes(p) for p in itertools.permutations((1, 2, 3))]
     expected = (((1, 1), (2, 3), (3, 2)), (b"\x01\x03\x02", b"\x02\x01\x03", b"\x03\x01\x02"), 1)
-    assert invariants_backend(b"".join(s3), 3) == expected
-    assert invariants_backend(b"".join(reversed(s3)), 3) == expected
-    assert invariants_backend(b"\x01", 1) == (((1, 1),), (), 1)
+    assert invariants_backend(tuple(s3), 3) == expected
+    assert invariants_backend(list(reversed(s3)), 3) == expected
+    assert invariants_backend((b"\x01",), 1) == (((1, 1),), (), 1)
     # closure is not checked, so the identity and one element of degree 255 will
     # do: its order lcm(2, 3, 5, 7, 11, 13, 17, 19, 23, 29) = 6469693230 needs 64 bits
     images, start = list(range(1, 256)), 0
     for length in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         images[start : start + length] = images[start + 1 : start + length] + [start + 1]
         start += length
-    hist, strong, center = invariants_backend(bytes(range(1, 256)) + bytes(images), 255)
+    hist, strong, center = invariants_backend((bytes(range(1, 256)), bytes(images)), 255)
     assert (hist, strong, center) == (((1, 1), (6469693230, 1)), (bytes(images),), 2)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -23,6 +24,19 @@ from quandles.symmetry import _LABELS, _fingerprint
 
 import tables
 from reference import least_witness, named_groups, np_count_explicit
+
+# the n! oracle, remembered so that each backend's run of a test asks it once per pair
+_least_witness = functools.cache(least_witness)
+
+
+@pytest.fixture(params=["python", "c"])
+def each_backend(request, monkeypatch):
+    """Each backend in turn, active for the test."""
+    if request.param == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    return request.param
 
 
 def test_permute_worked_example():
@@ -145,17 +159,12 @@ def test_canonical_form_agrees_with_isomorphism(report_for):
             assert are_isomorphic(x, x) is not None
 
 
-@pytest.mark.parametrize("backend", ["python", "c"])
-def test_isomorphism_witness_is_the_least(backend, report_for, request, monkeypatch):
-    # seeded relabellings of every class of order <= 5, paired with a relabelling
+def test_isomorphism_witness_is_the_least(each_backend, report_for):
+    # seeded relabellings of every class of order <= 6, paired with a relabelling
     # of the same class and of a random class: the witness is the least one
     # found by trying every relabelling, and None across classes
-    if backend == "c":
-        request.getfixturevalue("compiled")
-    else:
-        monkeypatch.setattr(_kernel, "_speedups", None)
     rng = random.Random(11)
-    for n in range(1, 6):
+    for n in range(1, 7):
         perms = list(all_permutations(n))
         reps = [rec.representative for rec in report_for(n).classes]
         for rep in reps:
@@ -163,8 +172,68 @@ def test_isomorphism_witness_is_the_least(backend, report_for, request, monkeypa
             for partner in (rep, rng.choice(reps)):
                 b = permute(partner, rng.choice(perms))
                 witness = are_isomorphic(a, b)
-                assert witness == least_witness(a, b)
+                assert witness == _least_witness(a, b)
                 assert (witness is None) == (partner is not rep)
+
+
+def test_isomorphism_witness_on_every_pair_of_small_tables(each_backend, matrices_for):
+    # every ordered pair of standard-form tables of orders 1..4, 1,296 pairs at order 4
+    for n in range(1, 5):
+        for a, b in itertools.product(matrices_for(n), repeat=2):
+            assert are_isomorphic(a, b) == _least_witness(a, b)
+
+
+def test_isomorphism_witness_on_random_tables(each_backend):
+    # tables that are not quandles: the search may assume nothing of them.
+    # Each is paired with a relabelling of itself and with that relabelling
+    # changed in one entry, which is isomorphic to it or not
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        a = QuandleMatrix.from_flat(bytes(rng.choices(range(1, n + 1), k=n * n)), n)
+        b = permute(a, Permutation(rng.sample(range(1, n + 1), n)))
+        changed = bytearray(b.flat())
+        changed[rng.randrange(n * n)] = rng.randint(1, n)
+        for partner in (b, QuandleMatrix.from_flat(bytes(changed), n)):
+            assert are_isomorphic(a, partner) == _least_witness(a, partner)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_isomorphism_past_order6_is_the_least_of_the_coset(n, compiled, report_for):
+    # each class relabelled twice, and relabelled against the next class: a
+    # relabels to b exactly by rho_b∘Aut∘rho_a^-1, so the witness is the least
+    # of that coset, and None across classes.  The pure search agrees at order 7
+    rng = random.Random(n)
+    reps = [rec.representative for rec in report_for(n).classes]
+    assert len(reps) == {7: 298, 8: 1581}[n]
+    for rep, neighbour in zip(reps, reps[1:] + reps[:1]):
+        rho_a, rho_b = (Permutation(rng.sample(range(1, n + 1), n)) for _ in range(2))
+        a, b, c = permute(rep, rho_a), permute(rep, rho_b), permute(neighbour, rho_b)
+        to_a = rho_a.inverse()
+        least = min((rho_b.compose(g).compose(to_a) for g in automorphism_group(rep)), key=lambda w: w.images)
+        assert are_isomorphic(a, b) == least
+        assert are_isomorphic(a, c) is None
+        if n == 7:
+            assert _kernel._isomorphism_pure(a.flat(), b.flat(), n) == bytes(least.images)
+            assert _kernel._isomorphism_pure(a.flat(), c.flat(), n) is None
+
+
+def test_isomorphism_backends_agree_at_order10(compiled):
+    # order-10 quandles under seeded relabellings, and random tables that are
+    # not quandles, with one entry changed or not: the same answer from both
+    # searches, and a witness relabels a onto b
+    rng = random.Random(10)
+    tables10 = [trivial(10), dihedral(10), QuandleMatrix(tables.ORDER10_AUT8)]
+    tables10 += [QuandleMatrix.from_flat(bytes(rng.choices(range(1, 11), k=100)), 10) for _ in range(20)]
+    for a in tables10:
+        b = permute(a, Permutation(rng.sample(range(1, 11), 10))).flat()
+        changed = bytearray(b)
+        changed[rng.randrange(100)] = rng.randint(1, 10)
+        for partner in (b, bytes(changed)):
+            witness = compiled.isomorphism(a.flat(), partner, 10)
+            assert witness == _kernel._isomorphism_pure(a.flat(), partner, 10)
+            assert witness is not None or partner is not b
+            assert witness is None or permute(a, Permutation(tuple(witness))).flat() == partner
 
 
 def test_identify_small_groups():
@@ -218,8 +287,8 @@ def test_group_invariants_match_brute_force(backend, report_for, request, monkey
     for g in groups:
         _assert_invariants_by_brute_force(g)
         words = [bytes(p.images) for p in g]
-        for blob in (b"".join(words), b"".join(reversed(words))):
-            assert _kernel.group_invariants(blob, g.degree) == _kernel._group_invariants_pure(blob, g.degree)
+        for order in (words, words[::-1]):
+            assert _kernel.group_invariants(order, g.degree) == _kernel._group_invariants_pure(order, g.degree)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
