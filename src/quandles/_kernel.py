@@ -16,12 +16,16 @@ backend here swaps them too.  The compiled parse declines, with None, all
 text but the plain format, and the pure parser then reads it.  Every kernel
 reads a table as its row-major 1-based bytes, the form in which a
 QuandleMatrix holds it up to order 255, so no table is converted on its way in.
+The walk and the search check it with one intake per backend, _take_table
+here and take_table in C, which the compiled verify shares: order, length,
+then entries.
 
 The isomorphism search walks neither table: it assigns images point by
 point, closes each choice under the table equations as the scan closes
 columns, and returns the first complete relabelling, the least.  So
 are_isomorphic needs no walk, and the walk serves canon, Aut, np and
-classification.
+classification; none reads a relabelling that reaches the least, so the
+walk tracks none.
 
 The compiled walk is one loop for every keep mode: it abandons an image
 once it is greater than the least so far and is not the table itself.
@@ -213,9 +217,9 @@ def _scan_closure_pure(n, ranks, cap):
 # which images orbit() returns: none, those sharing the input's column 0, or all
 KEEP_NONE, KEEP_COLUMN0, KEEP_ALL = 0, 1, 2
 
-# (least, witness, stabilizer, images): the stabilizer an ascending tuple in
-# every keep mode, the images a list of sorted column tuples
-Walk = tuple[bytes, bytes, tuple[bytes, ...], list[bytes]]
+# (least, stabilizer, images): the stabilizer an ascending tuple in every
+# keep mode, the images a list of sorted column tuples
+Walk = tuple[bytes, tuple[bytes, ...], list[bytes]]
 
 _ONE_BASED = bytes(range(1, 256)) + b"\0"  # translate table adding 1 to every entry
 _ZERO_BASED = b"\xff" + bytes(range(255))  # and the one taking 1 from every entry
@@ -228,13 +232,13 @@ def orbit(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     `flat` is the row-major 1-based byte encoding; a relabelling rho is the
     bytes of its 1-based image array and acts by
     out[rho(i)][rho(j)] = rho(flat[i][j]).  Returns
-    (least, witness, stabilizer, images): `least` is the row-major least
-    image, `witness` the least relabelling that reaches it, `stabilizer`
-    the ascending tuple of the relabellings fixing `flat`, and `images` the
-    distinct images that `keep` selects: none (KEEP_NONE), those whose
-    column 0 is `flat`'s (KEEP_COLUMN0; for a table in scan's normal form,
-    exactly the normal forms of its class) or all of them (KEEP_ALL, with
-    len(images) * len(stabilizer) == n!).  No other image is kept.  Each
+    (least, stabilizer, images): `least` is the row-major least image,
+    `stabilizer` the ascending tuple of the relabellings fixing `flat`, and
+    `images` the distinct images that `keep` selects: none (KEEP_NONE),
+    those whose column 0 is `flat`'s (KEEP_COLUMN0; for a table in scan's
+    normal form, exactly the normal forms of its class) or all of them
+    (KEEP_ALL, with len(images) * len(stabilizer) == n!).  No relabelling
+    that reaches `least` is kept, and no other image.  Each
     image is its column tuple, R_0 … R_{n-1} concatenated (byte j*n + i is
     entry (i, j)), and the list is in ascending order: the order of
     all_tables.  The compiled walk is one loop for every `keep`: it makes no
@@ -269,8 +273,8 @@ def _walk(flat: bytes, n: int, keep: int, speedups) -> Walk:
 # one entry, keyed by the backend too, so a backend test never reads the
 # other backend's walk; typed, so a keep of 0.0 or False is not taken for 0
 @functools.lru_cache(maxsize=1, typed=True)
-def _last_walk(flat: bytes, n: int, keep: int, speedups) -> tuple[bytes, bytes, tuple[bytes, ...]]:
-    return _walk(flat, n, keep, speedups)[:3]
+def _last_walk(flat: bytes, n: int, keep: int, speedups) -> tuple[bytes, tuple[bytes, ...]]:
+    return _walk(flat, n, keep, speedups)[:2]
 
 
 SUFFIX_POINTS = 6  # the pure walk caches the relabellings of at most this many last points
@@ -326,25 +330,31 @@ def _suffix_moves(n: int) -> tuple[int, tuple[tuple[operator.itemgetter, bytes, 
     return m, tuple(moves)
 
 
-def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
+def _take_table(t: bytes, n: int) -> None:
+    """The pure table intake: the compiled one's ValueError unless t holds an
+    order-n table, 1 <= n <= MAX_ORDER, of n*n entries in 1..n."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError("order out of range")
-    if len(flat) != n * n:
+    if len(t) != n * n:
         raise ValueError("flat length does not match order")
-    for x in flat:
+    for x in t:
         if not 1 <= x <= n:
             raise ValueError(f"entry {x} outside 1..{n}")
+
+
+def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
+    _take_table(flat, n)
     if keep not in (KEEP_NONE, KEEP_COLUMN0, KEEP_ALL):
         raise ValueError(f"keep must be {KEEP_NONE}, {KEEP_COLUMN0} or {KEEP_ALL}")
     if n == 1:  # one relabelling; a gather of one index would give an int, not a tuple
-        return flat, flat, (flat,), [] if keep == KEEP_NONE else [flat]
+        return flat, (flat,), [] if keep == KEEP_NONE else [flat]
     # rho = base∘s: base takes rho's first m images, then the values left in
     # ascending order, and s permutes the last points.  Prefixes in order,
     # then s in order within each, is rho in order, and rho . flat is
     # base . (s . flat): one gather and one translate per relabelling.
     m, moves = _suffix_moves(n)
     relabelled = [bytes(gather(flat)).translate(values) for gather, values, _ in moves]
-    least, witness = flat, bytes(range(1, n + 1))
+    least = flat
     stabilizer: list[bytes] = []
     images: set[bytes] = set()
     column0 = flat[::n]
@@ -354,9 +364,7 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
         values = _value_table(base, n)
         gather = _position_gather(sorted(points, key=base.__getitem__), n)
         cands = [c.translate(values) for c in map(bytes, map(gather, relabelled))]
-        low = min(cands)
-        if low < least:
-            least, witness = low, moves[cands.index(low)][2].translate(values)
+        least = min(least, min(cands))
         if flat in cands:
             stabilizer += [moves[i][2].translate(values) for i, c in enumerate(cands) if c == flat]
         if keep == KEEP_ALL:
@@ -372,8 +380,8 @@ def _orbit_pure(flat: bytes, n: int, keep: int = KEEP_NONE) -> Walk:
     if keep == KEEP_ALL:  # past about ten images one transpose of them all beats a gather each
         nn = n * n
         blob = transpose(b"".join(images), n)
-        return least, witness, tuple(stabilizer), sorted(blob[k : k + nn] for k in range(0, len(blob), nn))
-    return least, witness, tuple(stabilizer), sorted(map(bytes, map(_column_gather(n), images)))
+        return least, tuple(stabilizer), sorted(blob[k : k + nn] for k in range(0, len(blob), nn))
+    return least, tuple(stabilizer), sorted(map(bytes, map(_column_gather(n), images)))
 
 
 def canon_min(flat: bytes, n: int) -> bytes:
@@ -418,14 +426,8 @@ def _point_keys(t: bytes, n: int) -> list[tuple[int, int, int, int]]:
 
 
 def _isomorphism_pure(a: bytes, b: bytes, n: int) -> bytes | None:
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError("order out of range")
-    for t in (a, b):
-        if len(t) != n * n:
-            raise ValueError("flat length does not match order")
-        for x in t:
-            if not 1 <= x <= n:
-                raise ValueError(f"entry {x} outside 1..{n}")
+    _take_table(a, n)
+    _take_table(b, n)
     a, b = bytes(a).translate(_ZERO_BASED), bytes(b).translate(_ZERO_BASED)
     key_a, key_b = _point_keys(a, n), _point_keys(b, n)
     if sorted(key_a) != sorted(key_b):

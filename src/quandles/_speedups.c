@@ -1,12 +1,13 @@
 /* Compiled kernels for quandles._kernel: the column scan, the relabelling
    walk, the isomorphism search, the one-pass invariants of a permutation
-   group, and the table intake, which parses the plain text format and
-   checks the three table conditions.  The walk is one loop, the same for
-   every keep mode; a walk that keeps images adds one coset pass, which
-   builds each kept image once and sorts them.
+   group, `parse` of the plain text format and `verify` of the three table
+   conditions.  The walk, the search and verify read a table through one
+   intake, take_table.  The walk is one loop, the same for every keep mode;
+   a walk that keeps images adds one coset pass, which builds each kept
+   image once and sorts them.
 
    All six must stay observably identical to the pure-Python versions
-   (quandles._kernel, and quandles.matrix for the intake): same output
+   (quandles._kernel, and quandles.matrix for parse and verify): same output
    bytes, same order, same placement counts and witnesses, and the same
    ValueError on malformed input; the parse instead declines, with None,
    every text it does not take.  Orders are capped at 10, and group degrees
@@ -240,8 +241,34 @@ scan(PyObject *self, PyObject *args)
     return Py_BuildValue("(NKO)", out, b.placements, go ? Py_False : Py_True);
 }
 
+/* The table intake of orbit, isomorphism and verify: 0 when `view` holds an
+   order-n table, 1 <= n <= max_order, of n * n entries in 1..n, copied 0-based
+   to `dst` unless it is NULL; else -1 with a ValueError for the first fault. */
+static int
+take_table(const Py_buffer *view, int n, int max_order, unsigned char *dst)
+{
+    if (n < 1 || n > max_order) {
+        PyErr_SetString(PyExc_ValueError, "order out of range");
+        return -1;
+    }
+    if (view->len != n * n) {
+        PyErr_SetString(PyExc_ValueError, "flat length does not match order");
+        return -1;
+    }
+    const unsigned char *src = (const unsigned char *)view->buf;
+    for (int k = 0; k < n * n; k++) {
+        if (src[k] < 1 || src[k] > n) {
+            PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", src[k], n);
+            return -1;
+        }
+        if (dst != NULL)
+            dst[k] = src[k] - 1;
+    }
+    return 0;
+}
+
 PyDoc_STRVAR(orbit_doc,
-"orbit(flat, n, keep) -> (least, witness, stabilizer, images)\n\n"
+"orbit(flat, n, keep) -> (least, stabilizer, images)\n\n"
 "Mirror of quandles._kernel._orbit_pure: one walk over the n! relabellings\n"
 "of a row-major 1-based table, in lexicographic order, the same for every\n"
 "`keep`: an image is abandoned once it is greater than the least so far and\n"
@@ -250,7 +277,7 @@ PyDoc_STRVAR(orbit_doc,
 "kept image of each relabelling least in its coset of the stabilizer, so each\n"
 "once, as sorted column tuples R_0..R_{n-1}; one built twice is a RuntimeError.\n"
 "The stabilizer is an ascending tuple, the images a list.  Bytes are made only\n"
-"for stabilizer elements, kept images, least and witness.");
+"for stabilizer elements, kept images and the least image.");
 
 /* Append to `images` the column tuple of the image of each relabelling p
    least in its coset p∘Aut that, under `column0`, keeps the table's column
@@ -325,30 +352,17 @@ orbit(PyObject *self, PyObject *args)
     unsigned char table[MAX_ORDER * MAX_ORDER];
     unsigned char cur[MAX_ORDER * MAX_ORDER];
     unsigned char least[MAX_ORDER * MAX_ORDER];
-    unsigned char word[MAX_ORDER], witness[MAX_ORDER];
+    unsigned char word[MAX_ORDER];
     int p[MAX_ORDER], inv[MAX_ORDER];
     int first[MAX_ORDER * MAX_ORDER], second[MAX_ORDER * MAX_ORDER], pairs = 0;
     PyObject *stabilizer = NULL, *images = NULL;
 
     if (!PyArg_ParseTuple(args, "y*ii", &view, &n, &keep))
         return NULL;
+    if (take_table(&view, n, MAX_ORDER, table) < 0)
+        goto fail;
     const unsigned char *src = (const unsigned char *)view.buf;
-    if (n < 1 || n > MAX_ORDER) {
-        PyErr_SetString(PyExc_ValueError, "order out of range");
-        goto fail;
-    }
     const int nn = n * n;
-    if (view.len != nn) {
-        PyErr_SetString(PyExc_ValueError, "flat length does not match order");
-        goto fail;
-    }
-    for (int i = 0; i < nn; i++) {
-        if (src[i] < 1 || src[i] > n) {
-            PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", src[i], n);
-            goto fail;
-        }
-        table[i] = src[i] - 1;
-    }
     if (keep < 0 || keep > 2) {
         PyErr_SetString(PyExc_ValueError, "keep must be 0, 1 or 2");
         goto fail;
@@ -358,10 +372,8 @@ orbit(PyObject *self, PyObject *args)
     if (stabilizer == NULL || images == NULL)
         goto fail;
     memcpy(least, src, nn);
-    for (int i = 0; i < n; i++) {
+    for (int i = 0; i < n; i++)
         p[i] = inv[i] = i;
-        witness[i] = (unsigned char)(i + 1);
-    }
     int changed = 1; /* 1 + the first position of p changed by the last step */
     do {
         for (int i = changed - 1; i < n; i++)
@@ -381,11 +393,8 @@ orbit(PyObject *self, PyObject *args)
                     goto next;
             }
         }
-        if (order < 0) {
+        if (order < 0)
             memcpy(least, cur, nn);
-            for (int i = 0; i < n; i++)
-                witness[i] = (unsigned char)(p[i] + 1);
-        }
         if (fixed) {
             for (int i = 0; i < n; i++)
                 word[i] = (unsigned char)(p[i] + 1);
@@ -411,8 +420,7 @@ orbit(PyObject *self, PyObject *args)
     if (stabilizer == NULL)
         goto fail;
     PyBuffer_Release(&view);
-    return Py_BuildValue("(y#y#NN)", (const char *)least, (Py_ssize_t)nn,
-                         (const char *)witness, (Py_ssize_t)n, stabilizer, images);
+    return Py_BuildValue("(y#NN)", (const char *)least, (Py_ssize_t)nn, stabilizer, images);
 
 fail:
     Py_XDECREF(stabilizer);
@@ -529,26 +537,8 @@ isomorphism(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "y*y*i", &views[0], &views[1], &n))
         return NULL;
-    if (n < 1 || n > MAX_ORDER) {
-        PyErr_SetString(PyExc_ValueError, "order out of range");
+    if (take_table(&views[0], n, MAX_ORDER, s.a) < 0 || take_table(&views[1], n, MAX_ORDER, s.b) < 0)
         goto done;
-    }
-    const int nn = n * n;
-    for (int t = 0; t < 2; t++) {
-        const unsigned char *src = (const unsigned char *)views[t].buf;
-        unsigned char *dst = t ? s.b : s.a;
-        if (views[t].len != nn) {
-            PyErr_SetString(PyExc_ValueError, "flat length does not match order");
-            goto done;
-        }
-        for (int k = 0; k < nn; k++) {
-            if (src[k] < 1 || src[k] > n) {
-                PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", src[k], n);
-                goto done;
-            }
-            dst[k] = src[k] - 1;
-        }
-    }
     s.n = n;
     s.len = 0;
     point_keys(s.a, n, s.key_a);
@@ -724,15 +714,8 @@ verify(PyObject *self, PyObject *args)
     const unsigned char *t = (const unsigned char *)view.buf;
     unsigned char *s = NULL; /* the standardized table, 0-based */
     PyObject *result = NULL;
-    if (n < 1 || n > 255 || view.len != n * n) {
-        PyErr_SetString(PyExc_ValueError, "need n * n entries, 1 <= n <= 255");
+    if (take_table(&view, n, 255, NULL) < 0)
         goto done;
-    }
-    for (int k = 0; k < n * n; k++)
-        if (t[k] < 1 || t[k] > n) {
-            PyErr_Format(PyExc_ValueError, "entry %d outside 1..%d", t[k], n);
-            goto done;
-        }
     for (int i = 0; i < n; i++)
         for (int j = i + 1; j < n; j++)
             if (t[i * n + i] == t[j * n + j]) {

@@ -100,7 +100,7 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
         if flat not in unclaimed:
             continue
         walk = _kernel.orbit(flat, n, keep)
-        least, _, stabilizer, images = walk
+        least, stabilizer, images = walk
         if least in walked:
             raise RuntimeError(
                 f"class of {QuandleMatrix.from_flat(least, n)!r} walked twice, the second time from "
@@ -127,12 +127,22 @@ def _class_orbits(n: int, cap: int, keep: int) -> Iterator[_kernel.Walk]:
         yield walk
 
 
+_JOIN_CHUNK = 4096  # images per join, which holds a buffer view of each besides its result
+
+
 def _table_blob(n: int, cap: int) -> bytes:
     """The all_tables(n, cap=cap) tables concatenated in their order, for callers that
     need no list of them.  Raises as all_tables does.  Each walk's images are a
-    sorted run of column tuples, so the sort merges runs."""
-    orbits = _class_orbits(n, cap, _kernel.KEEP_ALL)
-    return _kernel.transpose(b"".join(sorted(chain.from_iterable(images for *_, images in orbits))), n)
+    sorted run of column tuples, so the sort merges runs.  The sorted images go
+    into one buffer a bounded join at a time, and the list is dropped before the
+    transpose."""
+    images = sorted(chain.from_iterable(images for _, _, images in _class_orbits(n, cap, _kernel.KEEP_ALL)))
+    nn = n * n
+    blob = bytearray(len(images) * nn)
+    for k in range(0, len(images), _JOIN_CHUNK):
+        blob[k * nn : (k + _JOIN_CHUNK) * nn] = b"".join(images[k : k + _JOIN_CHUNK])
+    del images
+    return _kernel.transpose(blob, n)
 
 
 def all_tables(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> list[bytes]:
@@ -178,7 +188,7 @@ def enumerate_classes(n: int, *, cap: int = _kernel.DEFAULT_CAP) -> EnumerationR
     """
     start = time.perf_counter()
     keyed = []  # (representative bytes, record): bytes order like the row tuples
-    for least, _, stabilizer, _ in _class_orbits(n, cap, _kernel.KEEP_COLUMN0):
+    for least, stabilizer, _ in _class_orbits(n, cap, _kernel.KEEP_COLUMN0):
         rep = QuandleMatrix.from_flat(least, n)
         aut = PermGroup._of_words(n, stabilizer)
         record = ClassRecord(

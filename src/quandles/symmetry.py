@@ -44,12 +44,12 @@ def are_isomorphic(a: QuandleMatrix, b: QuandleMatrix) -> Permutation | None:
 
 def automorphism_group(m: QuandleMatrix) -> PermGroup:
     """All permutations fixing m under the relabelling action: one walk's stabilizer, held as it comes."""
-    return PermGroup._of_words(m.n, _kernel.orbit(m._entries, m.n)[2])
+    return PermGroup._of_words(m.n, _kernel.orbit(m._entries, m.n)[1])
 
 
 def np_count(m: QuandleMatrix) -> int:
     """Number of standard-form tables in m's class: n! / |Aut| (orbit-stabilizer)."""
-    return factorial(m.n) // len(_kernel.orbit(m._entries, m.n)[2])
+    return factorial(m.n) // len(_kernel.orbit(m._entries, m.n)[1])
 
 
 def canonical_form(m: QuandleMatrix) -> QuandleMatrix:

@@ -74,11 +74,11 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
 
     For each rho in lexicographic order: translate the entries through rho,
     invert rho with an n-step loop and move every entry to its new place.
-    Returns (least, witness, stabilizer, images) as the kernel does, the
+    Returns (least, stabilizer, images) as the kernel does, the
     stabilizer as a tuple and the images collected as a set and given as
     sorted column tuples.
     """
-    least, witness = flat, bytes(range(1, n + 1))
+    least = flat
     stabilizer: list[bytes] = []
     images: set[bytes] = set()
     column0 = flat[::n]
@@ -93,13 +93,12 @@ def orbit_by_relabelling(flat: bytes, n: int, keep: int):
             inverse[p[i]] = i
         # out[a][b] = rho(flat[rho^-1(a)][rho^-1(b)])
         cand = bytes([relabelled[q * n + r] for q in inverse for r in inverse])
-        if cand < least:
-            least, witness = cand, word
+        least = min(least, cand)
         if cand == flat:
             stabilizer.append(word)
         if keep == KEEP_ALL or (keep == KEEP_COLUMN0 and cand[::n] == column0):
             images.add(cand)
-    return least, witness, tuple(stabilizer), sorted(columns(image, n) for image in images)
+    return least, tuple(stabilizer), sorted(columns(image, n) for image in images)
 
 
 def columns(flat: bytes, n: int) -> bytes:

@@ -96,7 +96,7 @@ def test_normal_forms_in_class_counts_the_scanned_tables_of_each_class(fastest_k
         flats = set(_kernel.scan(n)[0])
         classes = enumerate_classes(n).classes
         for rec in classes:
-            _, _, stabilizer, images = _kernel.orbit(rec.representative.flat(), n, _kernel.KEEP_ALL)
+            _, stabilizer, images = _kernel.orbit(rec.representative.flat(), n, _kernel.KEEP_ALL)
             members = flats.intersection(reference.columns(image, n) for image in images)
             assert members
             for flat in members:
@@ -221,9 +221,10 @@ def test_order6_tables_match_the_unrestricted_scan(fastest_kernel, report_for):
 
 
 def test_table_blob_drops_each_copy_once_the_next_is_made(compiled):
-    # the peak, 5.4x the blob, is the join of the sorted images: the images
-    # (2.2x), the join's buffer view of each (2.2x) and the joined blob; the
-    # transpose after it holds 3x
+    # the peak, 5.3x the blob, is the first bounded join of the sorted
+    # images: the images (2.2x), the blob (1x), the join's buffer view of
+    # each of its 4,096 images (1.4x) and its result (0.6x); the transpose
+    # after it holds 3x
     tracemalloc.start()
     try:
         blob = _table_blob(6, _kernel.DEFAULT_CAP)
@@ -232,6 +233,21 @@ def test_table_blob_drops_each_copy_once_the_next_is_made(compiled):
         tracemalloc.stop()
     assert len(blob) == 6658 * 36
     assert peak <= 6 * len(blob)
+
+
+def test_table_blob_joins_in_bounded_chunks(compiled):
+    # at order 7 a join of 4,096 images is a small share of them all, so the
+    # peak is the transpose's 3x: the blob, its transposed copy and that
+    # copy's bytes; one join of every image, with a buffer view of each
+    # besides the images and the result, read 4.5x
+    tracemalloc.start()
+    try:
+        blob = _table_blob(7, _kernel.DEFAULT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == 152900 * 49
+    assert peak <= 3.5 * len(blob)
 
 
 def test_classification_holds_the_scanned_tables_once(compiled):
@@ -306,7 +322,7 @@ def test_table_missing_from_scan_breaks_orbit_stabilizer(monkeypatch):
     kept_in_class = Counter()
     class_of = {}
     for k, rec in enumerate(enumerate_classes(5).classes):
-        images = _kernel.orbit(rec.representative.flat(), 5, _kernel.KEEP_ALL)[3]
+        images = _kernel.orbit(rec.representative.flat(), 5, _kernel.KEEP_ALL)[2]
         for image in sorted(reference.columns(image, 5) for image in images):
             class_of[image] = k
     kept_in_class.update(class_of[flat] for flat in flats)
@@ -347,15 +363,15 @@ def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
     drops = [
         (table, lost)  # lost is a column tuple, as the walk gives its images
         for table in walked
-        for lost in orbit(table, 5, _kernel.KEEP_COLUMN0)[3]
+        for lost in orbit(table, 5, _kernel.KEEP_COLUMN0)[2]
         if lost != reference.columns(table, 5)
     ]
     assert (len(walked), len(drops)) == (22, 11)
 
     def faulty(change):
         def walk(flat, n, keep):
-            least, witness, stabilizer, images = orbit(flat, n, keep)
-            return least, witness, stabilizer, change(flat, images)
+            least, stabilizer, images = orbit(flat, n, keep)
+            return least, stabilizer, change(flat, images)
 
         monkeypatch.setattr(_kernel, "orbit", walk)
 
@@ -386,7 +402,7 @@ def test_walk_losing_a_normal_form_stops_the_run(monkeypatch):
 def test_scan_mismatch_names_the_missing_normal_form(monkeypatch):
     # with one scanned table dropped, its class's walk names that table
     flats = _kernel.scan(5)[0]
-    shared = [k for k, flat in enumerate(flats) if len(_kernel.orbit(flat, 5, _kernel.KEEP_COLUMN0)[3]) > 1]
+    shared = [k for k, flat in enumerate(flats) if len(_kernel.orbit(flat, 5, _kernel.KEEP_COLUMN0)[2]) > 1]
     assert len(shared) == 18
     for k in shared:
         partial = flats[:k] + flats[k + 1 :]

@@ -175,17 +175,15 @@ def _same_orbit(compiled, flat, n):
     for keep in (_kernel.KEEP_NONE, _kernel.KEEP_COLUMN0, _kernel.KEEP_ALL):
         walks[keep] = compiled.orbit(flat, n, keep)
         assert walks[keep] == _kernel._orbit_pure(flat, n, keep)
-        assert _ascending(walks[keep][3])
-    least, witness, stabilizer, orbit = walks[_kernel.KEEP_ALL]
+        assert _ascending(walks[keep][2])
+    least, stabilizer, orbit = walks[_kernel.KEEP_ALL]
     assert len(orbit) * len(stabilizer) == math.factorial(n)
     tables = [columns(image, n) for image in orbit]  # the transpose turns a column tuple back
     assert least == min(tables) and flat in tables
     assert stabilizer == tuple(sorted(stabilizer))
-    table = QuandleMatrix.from_flat(flat, n)
-    assert permute(table, Permutation(tuple(witness))).flat() == least
-    assert walks[_kernel.KEEP_NONE] == (least, witness, stabilizer, [])
+    assert walks[_kernel.KEEP_NONE] == (least, stabilizer, [])
     same_column0 = [image for image in orbit if image[:n] == flat[::n]]
-    assert walks[_kernel.KEEP_COLUMN0] == (least, witness, stabilizer, same_column0)
+    assert walks[_kernel.KEEP_COLUMN0] == (least, stabilizer, same_column0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -204,7 +202,7 @@ def test_orbit_backends_agree_on_order6_classes(compiled, monkeypatch):
     assert len(classes) == len(walked) == 73
     for flat in [rec.representative.flat() for rec in classes] + walked:
         _same_orbit(compiled, flat, 6)
-    normal = [compiled.orbit(flat, 6, _kernel.KEEP_COLUMN0)[3] for flat in walked]
+    normal = [compiled.orbit(flat, 6, _kernel.KEEP_COLUMN0)[2] for flat in walked]
     assert sum(len(images) > 1 for images in normal) == 40
     scanned = sorted(columns(flat, 6) for flat in _kernel.scan(6)[0])
     assert sorted(image for images in normal for image in images) == scanned
@@ -230,22 +228,21 @@ def test_orbit_backends_agree_on_connected_order7_classes(compiled):
 def test_orbit_images_and_stabilizer(fastest_kernel):
     # the transposition quandle of order 3: Aut = S3, a single table in its class
     flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
-    least, witness, stabilizer, images = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
-    assert (least, witness, images) == (flat, b"\x01\x02\x03", [columns(flat, 3)])
+    least, stabilizer, images = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
+    assert (least, images) == (flat, [columns(flat, 3)])
     assert stabilizer == tuple(sorted(stabilizer)) and len(stabilizer) == 6
-    # an order-3 class of size 3, walked from a member that is not its least:
-    # (1 2 3) and (1 3) reach the least image, and 231 < 321 comes first
+    # an order-3 class of size 3, walked from a member that is not its least
     flat = bytes([1, 1, 2, 2, 2, 1, 3, 3, 3])
     least = bytes([1, 1, 1, 3, 2, 2, 2, 3, 3])
     same_column0 = bytes([1, 3, 1, 2, 2, 2, 3, 1, 3])
     walk = _kernel.orbit(flat, 3, _kernel.KEEP_ALL)
     stabilizer = (b"\x01\x02\x03", b"\x02\x01\x03")
     images = sorted(columns(image, 3) for image in (flat, least, same_column0))
-    assert walk == (least, b"\x02\x03\x01", stabilizer, images)
+    assert walk == (least, stabilizer, images)
     # no image is kept by default; KEEP_COLUMN0 keeps those whose column 0 is (1, 2, 3)
-    assert _kernel.orbit(flat, 3) == walk[:3] + ([],)
+    assert _kernel.orbit(flat, 3) == walk[:2] + ([],)
     images = sorted(columns(image, 3) for image in (flat, same_column0))
-    assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:3] + (images,)
+    assert _kernel.orbit(flat, 3, _kernel.KEEP_COLUMN0) == walk[:2] + (images,)
     assert _kernel.canon_min(flat, 3) == least
 
 
@@ -287,14 +284,13 @@ def test_pure_orbit_memory_is_bounded(table, aut_order):
     flat = table.flat()
     tracemalloc.start()
     try:
-        least, witness, stabilizer, _ = _kernel._orbit_pure(flat, 8, _kernel.KEEP_NONE)
+        _, stabilizer, _ = _kernel._orbit_pure(flat, 8, _kernel.KEEP_NONE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
     assert len(_kernel._suffix_moves(8)[1]) == math.factorial(6)
     assert len(stabilizer) == aut_order
-    assert permute(table, Permutation(tuple(witness))).flat() == least
 
 
 @pytest.fixture(params=["python", "c"])
@@ -377,12 +373,12 @@ def test_remembered_walk_hands_out_copies(walks):
     flat = bytes([1, 3, 2, 3, 2, 1, 2, 1, 3])
     table = QuandleMatrix.from_flat(flat, 3)
     aut = automorphism_group(table)
-    least, witness, stabilizer, images = _kernel.orbit(flat, 3)
+    least, stabilizer, images = _kernel.orbit(flat, 3)
     images.append(flat)
     assert type(stabilizer) is tuple and aut._words is stabilizer
     assert automorphism_group(table) == aut and aut.order == 6
-    assert _kernel.orbit(flat, 3) == (least, witness, tuple(bytes(g.images) for g in aut.elements()), [])
-    assert _kernel.orbit(flat, 3)[2] is stabilizer
+    assert _kernel.orbit(flat, 3) == (least, tuple(bytes(g.images) for g in aut.elements()), [])
+    assert _kernel.orbit(flat, 3)[1] is stabilizer
     assert len(walks) == 1
     # a malformed table raises on every call: errors are not remembered
     for _ in range(2):
@@ -395,7 +391,7 @@ def test_aut_is_held_once(walks):
     # is, and iso reads no walk: a second copy of S8's 8! automorphisms would
     # hold 2 MiB
     m = trivial(8)
-    stabilizer = _kernel.orbit(m.flat(), 8)[2]
+    stabilizer = _kernel.orbit(m.flat(), 8)[1]
     tracemalloc.start()
     try:
         aut = automorphism_group(m)
@@ -490,7 +486,7 @@ def test_orbit_rejects_malformed_tables(orbit_backend, flat, n):
 
 def test_orbit_rejects_unknown_keep(orbit_backend):
     flat = b"\x01\x01\x02\x02"
-    assert orbit_backend(flat, 2, _kernel.KEEP_ALL)[3] == [columns(flat, 2)]
+    assert orbit_backend(flat, 2, _kernel.KEEP_ALL)[2] == [columns(flat, 2)]
     for keep in (_kernel.KEEP_NONE - 1, _kernel.KEEP_ALL + 1):
         with pytest.raises(ValueError):
             orbit_backend(flat, 2, keep)
@@ -519,6 +515,53 @@ def iso_backend(request):
 def test_isomorphism_rejects_malformed_tables(iso_backend, a, b, n, message):
     with pytest.raises(ValueError) as exc:
         iso_backend(a, b, n)
+    assert str(exc.value) == message
+
+
+@pytest.fixture(params=["orbit-python", "orbit-c", "iso_a-python", "iso_a-c", "iso_b-python", "iso_b-c", "verify-c"])
+def intake(request):
+    """(take, top): a call handing one table to a kernel that reads it through
+    its backend's table intake, and the greatest order that kernel takes.  The
+    search gets a well-formed partner, the trivial table, where the order lets it."""
+    kernel, backend = request.param.split("-")
+    if backend == "python":
+        module = types.SimpleNamespace(orbit=_kernel._orbit_pure, isomorphism=_kernel._isomorphism_pure)
+    else:
+        module = request.getfixturevalue("compiled")
+    if kernel == "verify":
+        return module.verify, _kernel.MAX_DEGREE
+
+    def partner(n):
+        return bytes(i for i in range(1, n + 1) for _ in range(n)) if 1 <= n <= _kernel.MAX_ORDER else b""
+
+    take = {
+        "orbit": lambda flat, n: module.orbit(flat, n, _kernel.KEEP_NONE),
+        "iso_a": lambda flat, n: module.isomorphism(flat, partner(n), n),
+        "iso_b": lambda flat, n: module.isomorphism(partner(n), flat, n),
+    }[kernel]
+    return take, _kernel.MAX_ORDER
+
+
+# case -> (the table and order for a kernel taking orders up to top, the ValueError's text)
+_INTAKE_CASES = {
+    "order 0": (lambda top: (b"", 0), "order out of range"),
+    "order top + 1": (lambda top: (b"\x01" * (top + 1) ** 2, top + 1), "order out of range"),
+    "order 2**20": (lambda top: (b"", 1 << 20), "order out of range"),  # its square overflows an int
+    "wrong length": (lambda top: (b"\x01\x01", 2), "flat length does not match order"),
+    "entry 0": (lambda top: (b"\x01\x00\x02\x02", 2), "entry 0 outside 1..2"),
+    "entry n + 1": (lambda top: (b"\x01\x01\x02\x03", 2), "entry 3 outside 1..2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INTAKE_CASES))
+def test_table_intake_gives_one_message_per_fault(intake, case):
+    # the walk, the search (a faulty first or second table) and the compiled
+    # check take a table through one intake per backend: the order, then the
+    # length, then the entries, with the same text from every kernel
+    take, top = intake
+    table, message = _INTAKE_CASES[case]
+    with pytest.raises(ValueError) as exc:
+        take(*table(top))
     assert str(exc.value) == message
 
 

@@ -131,7 +131,7 @@ def test_group_equality_is_by_degree_and_elements():
     assert s3 != s3.elements()
     # D8 inside S4 from a walk's stabilizer, by generation, by the checked
     # constructor and through pickle: one group, equal and hashing alike
-    walked = PermGroup._of_words(4, _kernel.orbit(dihedral(4).flat(), 4)[2])
+    walked = PermGroup._of_words(4, _kernel.orbit(dihedral(4).flat(), 4)[1])
     d8 = [
         walked,
         PermGroup.generate([Permutation.parse("(1 2 3 4)", 4), Permutation.parse("(1 3)", 4)]),
@@ -193,7 +193,7 @@ def test_group_degree_range():
 def test_stabilizer_group_makes_permutations_only_on_request(monkeypatch):
     # the walk's stabilizer bytes are held as they are; labels, generators'
     # bytes and orbits need no Permutation object
-    stabilizer = _kernel.orbit(trivial(4).flat(), 4)[2]
+    stabilizer = _kernel.orbit(trivial(4).flat(), 4)[1]
     g = PermGroup._of_words(4, stabilizer)
 
     def refuse(images):
