@@ -21,11 +21,11 @@ here and take_table in C, which the compiled verify shares: order, length,
 then entries.
 
 The isomorphism search walks neither table: it assigns images point by
-point, closes each choice under the table equations as the scan closes
-columns, and returns the first complete relabelling, the least.  So
-are_isomorphic needs no walk, and the walk serves canon, Aut, np and
-classification; none reads a relabelling that reaches the least, so the
-walk tracks none.
+point, closes each choice under the table equations with the scan's own
+closure routine, _propagate, and returns the first complete relabelling,
+the least.  So are_isomorphic needs no walk, and the walk serves canon,
+Aut, np and classification; none reads a relabelling that reaches the
+least, so the walk tracks none.
 
 The compiled walk is one loop for every keep mode: it abandons an image
 once it is greater than the least so far and is not the table itself.
@@ -147,36 +147,45 @@ def scan(n: int, *, cap: int = DEFAULT_CAP) -> tuple[list[bytes], int, bool]:
     return _scan_closure_pure(n, ranks, cap)
 
 
+def _propagate(trail: list[int], start: int, force) -> bool:
+    """Pair each index set from trail[start] on with every index set up to it, in both orders.
+
+    force(a, b) appends each index it sets to `trail` and is False on a
+    clash; pairs with an index set later are met when that index is
+    dequeued.  False at the first clash, else True once no pair sets a new
+    index.  The scan forces columns with it and the isomorphism search images.
+    """
+    q = start
+    while q < len(trail):
+        a = trail[q]
+        for b in trail[: q + 1]:
+            if not force(a, b) or (a != b and not force(b, a)):
+                return False
+        q += 1
+    return True
+
+
 def _scan_closure_pure(n, ranks, cap):
     out: list[bytes] = []
     cols: list[tuple[int, ...] | None] = [None] * n  # cols[t] is R_t once placed or forced
     trail: list[int] = []  # positions in the order they were set
     rng = range(n)
 
-    def propagate(start):
-        # pair each newly set position with every position set up to it;
-        # pairs with positions set later are met when those are dequeued
-        q = start
-        while q < len(trail):
-            a = trail[q]
-            for b in trail[: q + 1]:
-                for k, j in ((a, b), (b, a)) if a != b else ((a, a),):
-                    ck = cols[k]
-                    cj = cols[j]
-                    # R_{R_k(j)} = R_k R_j R_k^-1: the column F with F[R_k(y)] = R_k(R_j(y))
-                    forced = [0] * n
-                    for y in rng:
-                        forced[ck[y]] = ck[cj[y]]
-                    forced = tuple(forced)
-                    t = ck[j]
-                    ct = cols[t]
-                    if ct is None:
-                        cols[t] = forced
-                        trail.append(t)
-                    elif ct != forced:
-                        return False
-            q += 1
-        return True
+    def force(k, j):
+        # R_{R_k(j)} = R_k R_j R_k^-1: the column F with F[R_k(y)] = R_k(R_j(y))
+        ck = cols[k]
+        cj = cols[j]
+        forced = [0] * n
+        for y in rng:
+            forced[ck[y]] = ck[cj[y]]
+        forced = tuple(forced)
+        t = ck[j]
+        ct = cols[t]
+        if ct is None:
+            cols[t] = forced
+            trail.append(t)
+            return True
+        return ct == forced
 
     relabellings = factorial(n)
     placements = 0
@@ -191,7 +200,7 @@ def _scan_closure_pure(n, ranks, cap):
                 return False
             cols[d] = lift(perm, d)
             trail.append(d)
-            if propagate(mark):
+            if _propagate(trail, mark, force):
                 if len(trail) < n:
                     if not walk(base, base):
                         return False
@@ -446,17 +455,6 @@ def _isomorphism_pure(a: bytes, b: bytes, n: int) -> bytes | None:
         trail.append(p)
         return True
 
-    def propagate(start):
-        # pair each newly assigned point with every point assigned up to it, as the scan does
-        q = start
-        while q < len(trail):
-            i = trail[q]
-            for j in trail[: q + 1]:
-                if not force(i, j) or (i != j and not force(j, i)):
-                    return False
-            q += 1
-        return True
-
     def search():
         mark = len(trail)
         if mark == n:
@@ -466,7 +464,7 @@ def _isomorphism_pure(a: bytes, b: bytes, n: int) -> bytes | None:
             if inv[y] < 0 and key_b[y] == key_a[x]:
                 rho[x], inv[y] = y, x
                 trail.append(x)
-                if propagate(mark) and search():
+                if _propagate(trail, mark, force) and search():
                     return True
                 while len(trail) > mark:
                     p = trail.pop()

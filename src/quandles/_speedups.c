@@ -2,7 +2,8 @@
    walk, the isomorphism search, the one-pass invariants of a permutation
    group, `parse` of the plain text format and `verify` of the three table
    conditions.  The walk, the search and verify read a table through one
-   intake, take_table.  The walk is one loop, the same for every keep mode;
+   intake, take_table; the scan and the search close each choice with one
+   routine, propagate.  The walk is one loop, the same for every keep mode;
    a walk that keeps images adds one coset pass, which builds each kept
    image once and sorts them.
 
@@ -49,11 +50,30 @@ struct closure {
     unsigned char forced[MAX_ORDER][MAX_ORDER];
 };
 
+/* Pair each index set from trail[start] on with every index set up to it,
+   in both orders, until `force` (closure_force or iso_force) sets no new
+   index; force appends each one it sets to the trail.  0 at the first pair
+   it rejects.  Pairs with an index set later are met when it is dequeued. */
+static inline int
+propagate(void *s, const int *trail, const int *len, int start, int (*force)(void *, int, int))
+{
+    for (int q = start; q < *len; q++) {
+        const int a = trail[q];
+        for (int p = 0; p <= q; p++) {
+            const int b = trail[p];
+            if (!force(s, a, b) || (a != b && !force(s, b, a)))
+                return 0;
+        }
+    }
+    return 1;
+}
+
 /* Force R_{R_k(j)} = R_k R_j R_k^-1 if that column is unset, else check it;
    0 when it contradicts the column already set. */
 static int
-closure_force(struct closure *s, int k, int j)
+closure_force(void *state, int k, int j)
 {
+    struct closure *s = state;
     const int n = s->n;
     const unsigned char *ck = s->col_at[k], *cj = s->col_at[j];
     const int t = ck[j];
@@ -69,23 +89,6 @@ closure_force(struct closure *s, int k, int j)
         f[ck[y]] = ck[cj[y]];
     s->col_at[t] = f;
     s->trail[s->len++] = t;
-    return 1;
-}
-
-/* Pair each position set from trail[start] on with every position set up
-   to it, in both orders, until no new position is set.  Pairs with a
-   position set later are met when that position is dequeued. */
-static int
-closure_propagate(struct closure *s, int start)
-{
-    for (int q = start; q < s->len; q++) {
-        const int a = s->trail[q];
-        for (int p = 0; p <= q; p++) {
-            const int b = s->trail[p];
-            if (!closure_force(s, a, b) || (a != b && !closure_force(s, b, a)))
-                return 0;
-        }
-    }
     return 1;
 }
 
@@ -154,7 +157,7 @@ scan_walk(struct closure *s, struct budget *b, const int *choices, int m, const 
             return 0;
         s->col_at[d] = col + (Py_ssize_t)choices[c] * n;
         s->trail[s->len++] = d;
-        if (closure_propagate(s, mark)) {
+        if (propagate(s, s->trail, &s->len, mark, closure_force)) {
             if (s->len < n) {
                 const int go = scan_walk(s, b, base, m_base, base, m_base);
                 if (go <= 0)
@@ -445,6 +448,7 @@ struct iso {
     int rho[MAX_ORDER], inv[MAX_ORDER], trail[MAX_ORDER];
 };
 
+_Static_assert(MAX_ORDER < 16, "point_keys packs four counts of 0..MAX_ORDER into 4-bit fields");
 /* Each point's fixed points and distinct values in its column and its row.
    rho carries column x of a to column rho(x) of b entry by entry, relabelled,
    so all four counts are kept by any relabelling, whatever the table. */
@@ -470,8 +474,9 @@ point_keys(const unsigned char *t, int n, unsigned int *key)
    check it; 0 on a clash: a different image, an image already used, or one
    whose key differs. */
 static int
-iso_force(struct iso *s, int i, int j)
+iso_force(void *state, int i, int j)
 {
+    struct iso *s = state;
     const int n = s->n, p = s->a[i * n + j], v = s->b[s->rho[i] * n + s->rho[j]];
     if (s->rho[p] >= 0)
         return s->rho[p] == v;
@@ -480,22 +485,6 @@ iso_force(struct iso *s, int i, int j)
     s->rho[p] = v;
     s->inv[v] = p;
     s->trail[s->len++] = p;
-    return 1;
-}
-
-/* Pair each point assigned from trail[start] on with every point assigned up
-   to it, in both orders, until no new point is assigned; as closure_propagate. */
-static int
-iso_propagate(struct iso *s, int start)
-{
-    for (int q = start; q < s->len; q++) {
-        const int i = s->trail[q];
-        for (int k = 0; k <= q; k++) {
-            const int j = s->trail[k];
-            if (!iso_force(s, i, j) || (i != j && !iso_force(s, j, i)))
-                return 0;
-        }
-    }
     return 1;
 }
 
@@ -516,7 +505,7 @@ iso_search(struct iso *s)
         s->rho[x] = y;
         s->inv[y] = x;
         s->trail[s->len++] = x;
-        if (iso_propagate(s, mark) && iso_search(s))
+        if (propagate(s, s->trail, &s->len, mark, iso_force) && iso_search(s))
             return 1;
         while (s->len > mark) {
             const int p = s->trail[--s->len];

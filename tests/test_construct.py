@@ -6,10 +6,13 @@ from quandles import (
     QuandleMatrix,
     alexander,
     are_isomorphic,
+    automorphism_group,
+    canonical_form,
     conjugation,
     conjugation_class,
     dihedral,
     make,
+    np_count,
     trivial,
 )
 from quandles.permutation import Permutation, all_permutations
@@ -129,6 +132,32 @@ def test_conjugation_class_closure():
         brute = {h.inverse().compose(x.compose(h)) for h in all_permutations(4)}
         assert len(brute) == size
         assert conjugation_class(gens, x) == conjugation(sorted(brute))
+
+
+def test_families_land_on_their_classified_records(fastest_kernel, report_for):
+    # every Alexander quandle of at most 7 elements, and the conjugation quandle
+    # of every conjugacy class of S3, S4 or S5 with at most 7 elements: each
+    # table's canonical form is a classified representative whose record has
+    # the table's own |Aut|, np and flags.  Orders <= 6 on the pure kernel
+    built = [alexander(modulus, coeffs) for modulus, coeffs in alexander_presentations(7)]
+    for k in (3, 4, 5):
+        cycle = "(" + " ".join(map(str, range(1, k + 1))) + ")"
+        gens = [Permutation.parse("(1 2)", k), Permutation.parse(cycle, k)]
+        seen: set = set()
+        for x in all_permutations(k):
+            if x not in seen:
+                cls = {h.inverse().compose(x.compose(h)) for h in all_permutations(k)}
+                seen |= cls
+                if len(cls) <= 7:
+                    built.append(conjugation_class(gens, x))
+    assert (len(built), max(m.n for m in built)) == (27, 7)  # 19 Alexander, 8 conjugation
+    top = 7 if fastest_kernel == "c" else 6
+    for m in built:
+        if m.n <= top:
+            by_rep = {rec.representative: rec for rec in report_for(m.n).classes}
+            rec = by_rep[canonical_form(m)]
+            assert (rec.aut_order, rec.np) == (automorphism_group(m).order, np_count(m))
+            assert (rec.latin, rec.connected) == (m.is_latin(), m.is_connected())
 
 
 def test_make_syntax():

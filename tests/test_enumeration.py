@@ -105,6 +105,41 @@ def test_normal_forms_in_class_counts_the_scanned_tables_of_each_class(fastest_k
             assert (len(flats), len(classes)) == sizes[n]
 
 
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_classification_by_the_isomorphism_search_alone(backend, request, monkeypatch, report_for):
+    # a second route to the classes that reads no relabelling walk: the scanned
+    # tables grouped by _kernel.isomorphism alone.  Every normal form of a class
+    # has the same R_0, so a table joins the first class of its column-0 bucket
+    # whose first member the search maps onto it.  |Aut| is the theory's count
+    # of normal forms under the trivial group over the class size, and each
+    # class meets its record by the search too.  Order 7 on the compiled kernel
+    if backend == "c":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_kernel, "_speedups", None)
+    for n in range(1, 8 if backend == "c" else 7):
+        buckets: dict[bytes, list[list[bytes]]] = {}
+        for flat in _kernel.scan(n)[0]:
+            found = buckets.setdefault(flat[::n], [])
+            members = next((c for c in found if _kernel.isomorphism(c[0], flat, n) is not None), None)
+            if members is None:
+                found.append([flat])
+            else:
+                members.append(flat)
+        report = report_for(n)
+        records = list(report.classes)
+        assert sum(map(len, buckets.values())) == len(records)
+        total = 0
+        for members in itertools.chain.from_iterable(buckets.values()):
+            aut_order, rest = divmod(reference.normal_forms_in_class(members[0], n, 1), len(members))
+            assert rest == 0
+            rec = next(r for r in records if _kernel.isomorphism(members[0], r.representative.flat(), n))
+            records.remove(rec)
+            assert (rec.aut_order, rec.np) == (aut_order, math.factorial(n) // aut_order)
+            total += rec.np
+        assert report.total_valid_matrices == total
+
+
 def test_latin_classes_order5(report_for):
     latin = [rec for rec in report_for(5).classes if rec.latin]
     assert len(latin) == 3
